@@ -16,9 +16,9 @@ Layers, bottom up:
   ``interval`` / ``analytic``, plus anything registered at runtime);
 - :mod:`repro.api.config` -- :class:`CampaignConfig`, the frozen value
   object that identifies a campaign and names its cache entry;
-- :mod:`repro.api.engine` -- :class:`Campaign`, the serial/parallel
-  grid runner (``jobs>1`` fans out over a process pool with
-  bit-identical results);
+- :mod:`repro.api.engine` -- :class:`Campaign`, the grid runner: one
+  plan/chunk/score/record route for every backend (``jobs>1`` fans
+  chunks out over a process pool with bit-identical results);
 - :mod:`repro.api.scales` -- the SMALL / MEDIUM / FULL size knobs;
 - :mod:`repro.api.session` -- :class:`Session`, the fluent facade tying
   them together.
@@ -33,8 +33,6 @@ from repro.api.backends import (
     SimulatorBackend,
     UnknownBackendError,
     backend_names,
-    backend_supports_batch,
-    backend_supports_policy_axis,
     get_backend,
     register_backend,
 )
@@ -55,8 +53,7 @@ __all__ = [
     "BACKENDS", "SimulatorBackend", "UnknownBackendError",
     "DetailedBackend", "BadcoBackend", "IntervalBackend",
     "AnalyticBackend", "register_backend", "get_backend",
-    "backend_names", "backend_supports_batch",
-    "backend_supports_policy_axis",
+    "backend_names",
     # campaigns
     "CampaignConfig", "Campaign", "CampaignTiming", "RESULTS_VERSION",
     # scales

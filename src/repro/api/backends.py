@@ -12,16 +12,14 @@ repository's three families:
 - ``analytic`` -- the array-evaluated BADCO variant: whole workload
   panels in a handful of NumPy calls (see :mod:`repro.sim.analytic`).
 
-Backends whose simulators can score many workloads per call declare it
-with ``supports_batch = True``; their simulator objects then expose
-``run_batch(workloads) -> BatchRun`` next to the per-workload ``run``,
-and the campaign engine dispatches grids to the batch path (serial or
-chunked over the process pool) instead of the per-workload loop.
-Backends that can also batch the policy dimension declare
-``supports_policy_axis = True`` and expose
-``run_batch_grid(workloads, policies) -> GridRun`` (one N x P x K
-call); the engine then collapses its per-policy loop into a single
-dispatch whenever every policy shares the same pending workloads.
+A simulator needs only ``run(workload) -> WorkloadRun`` and
+``reference_ipc(benchmark) -> float``.  The campaign engine scores
+grid chunks through the first contract the simulator offers (see
+:func:`repro.api.engine._score_chunk`): ``run_batch_grid(workloads,
+policies) -> GridRun`` (one N x P x K call, the analytic backend),
+else ``run_batch(workloads) -> BatchRun`` per policy (badco,
+interval), else ``run`` per workload (detailed).  Backends declare
+nothing: the engine checks the simulator object itself.
 
 Third-party simulators plug in without touching this package::
 
@@ -55,10 +53,8 @@ class SimulatorBackend(Protocol):
     :class:`~repro.sim.badco.BadcoSimulator` and
     :class:`~repro.sim.interval.IntervalSimulator`.
 
-    Backends may additionally declare ``supports_batch = True`` (left
-    out of the protocol so plain factories still conform) when their
-    simulators expose ``run_batch(workloads) -> BatchRun``; the engine
-    queries it via :func:`backend_supports_batch`.
+    Simulators may also offer ``run_batch`` and ``run_batch_grid``;
+    the engine uses the widest contract available.
     """
 
     name: str
@@ -97,14 +93,12 @@ class DetailedBackend:
 class BadcoBackend:
     """The BADCO-style approximate simulator (shared model builder).
 
-    Batch-capable: :class:`~repro.sim.badco.multicore.BadcoSimulator`
-    mixes in :class:`~repro.sim.batch.EventDrivenBatchMixin`, so grids
-    dispatch through ``run_batch`` (serial, or jobs-invariant pool
-    chunks) exactly like the analytic backend.
+    :class:`~repro.sim.badco.multicore.BadcoSimulator` mixes in
+    :class:`~repro.sim.batch.EventDrivenBatchMixin`, so the engine
+    scores its grid chunks through ``run_batch`` per policy.
     """
 
     name = "badco"
-    supports_batch = True
 
     def make_builder(self, trace_length: int, seed: int) -> Any:
         from repro.sim.badco.model import BadcoModelBuilder
@@ -126,12 +120,11 @@ class BadcoBackend:
 class IntervalBackend:
     """The one-training-run interval-model simulator.
 
-    Batch-capable like ``badco``: the simulator's ``run_batch`` comes
-    from :class:`~repro.sim.batch.EventDrivenBatchMixin`.
+    Like ``badco``, its simulator's ``run_batch`` comes from
+    :class:`~repro.sim.batch.EventDrivenBatchMixin`.
     """
 
     name = "interval"
-    supports_batch = True
 
     def make_builder(self, trace_length: int, seed: int) -> Any:
         from repro.sim.interval.profile import IntervalProfileBuilder
@@ -151,11 +144,13 @@ class IntervalBackend:
 
 
 class AnalyticBackend:
-    """The array-evaluated BADCO model (batch-capable, shared builder)."""
+    """The array-evaluated BADCO model (shared builder).
+
+    Its simulator's ``run_batch_grid`` scores a whole grid chunk in one
+    N x P x K array call.
+    """
 
     name = "analytic"
-    supports_batch = True
-    supports_policy_axis = True
 
     def make_builder(self, trace_length: int, seed: int) -> Any:
         from repro.sim.analytic import AnalyticModelBuilder
@@ -172,21 +167,6 @@ class AnalyticBackend:
             builder=builder or self.make_builder(trace_length, seed),
             trace_length=trace_length, warmup_fraction=warmup_fraction,
             seed=seed)
-
-
-def backend_supports_batch(backend: SimulatorBackend) -> bool:
-    """Whether a backend's simulators offer the ``run_batch`` path."""
-    return bool(getattr(backend, "supports_batch", False))
-
-
-def backend_supports_policy_axis(backend: SimulatorBackend) -> bool:
-    """Whether a backend's simulators offer ``run_batch_grid``.
-
-    Policy-axis backends score a whole (workloads x policies) grid in
-    one N x P x K call; the engine then replaces its per-policy batch
-    loop with a single dispatch.  Implies :func:`backend_supports_batch`.
-    """
-    return bool(getattr(backend, "supports_policy_axis", False))
 
 
 class UnknownBackendError(ValueError):

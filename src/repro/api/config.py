@@ -66,8 +66,9 @@ class CampaignConfig:
             0 = auto (one worker per CPU via :func:`resolve_jobs`,
             resolved at construction so the stored field is always a
             concrete count).
-        cache_dir: if set, results persist as JSON under this directory
-            keyed by :attr:`cache_key`.
+        cache_dir: if set, results persist as one ``.npz`` under this
+            directory keyed by :attr:`cache_key` (see
+            :attr:`cache_npz_path`).
         model_store_dir: if set, trained models (BADCO node models,
             analytic calibrations and probes) persist under this
             directory (see :mod:`repro.sim.modelstore`) and campaigns
@@ -129,17 +130,22 @@ class CampaignConfig:
 
     @property
     def cache_path(self) -> Optional[Path]:
-        """Where this campaign persists, or None without a cache_dir."""
+        """The legacy JSON cache file, or None without a cache_dir.
+
+        Read-only: older releases persisted campaigns here.  A campaign
+        whose cache directory holds only this file imports it once and
+        rewrites it as :attr:`cache_npz_path`; nothing writes JSON.
+        """
         if self.cache_dir is None:
             return None
         return Path(self.cache_dir) / f"{self.cache_key}.json"
 
     @property
     def cache_npz_path(self) -> Optional[Path]:
-        """The ``.npz`` twin written next to :attr:`cache_path`.
+        """Where this campaign persists, or None without a cache_dir.
 
-        Same key, columnar payload: loads restore whole IPC panels as
-        matrices (no per-workload mapping rebuild), which is what makes
+        Columnar payload: loads restore whole IPC panels as matrices
+        (no per-workload mapping rebuild), which is what makes
         re-opening 10^6-workload campaigns cheap.
         """
         if self.cache_dir is None:

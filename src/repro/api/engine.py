@@ -6,59 +6,71 @@ memoising per-(policy, workload) results in memory and optionally on
 disk, and accumulating the wall-clock / MIPS accounting behind the
 paper's Table III and the Section VII-A overhead example.
 
-With ``jobs=1`` (the default) grids run in-process, exactly as the
-historical ``SimulationCampaign`` did.  With ``jobs>1`` the pending
-cells are fanned out over a :class:`concurrent.futures.
-ProcessPoolExecutor`; each worker process constructs its own simulator
-(and lazily shares one model builder per process), and the parent
-merges worker results in the same order the serial path would have
-produced them -- so the resulting :class:`~repro.sim.results.
-PopulationResults` is bit-identical to a ``jobs=1`` run, down to its
-JSON serialisation.  Every simulation is independent (fresh uncore,
-fixed seeds), which is what makes this safe.
+:meth:`Campaign.run_grid` has one route for every backend and every
+``jobs`` value:
 
-Backends declaring ``supports_batch`` (see
-:func:`repro.api.backends.backend_supports_batch`) take the *batch*
-path instead: per policy, all pending workloads are scored by one
-``run_batch`` array call (``jobs=1``) or by ``jobs`` contiguous chunks
-on the pool, and the panel streams into the results columnar store via
-:meth:`~repro.sim.results.PopulationResults.record_batch`.  Batch rows
-are independent, so chunking never changes values and ``jobs=4 ==
-jobs=1`` holds here too.
+1. *Plan.*  :meth:`Campaign._pending_blocks` groups the pending rows by
+   the tuple of policies that still need them: (rows x policies)
+   blocks, widest first.  A fresh or uniformly cached grid is one
+   block.
+2. *Chunk.*  Each block splits into at most ``jobs`` contiguous row
+   chunks.
+3. *Score.*  :func:`_score_chunk` adapts the simulator's contract --
+   ``run_batch_grid`` (analytic), else ``run_batch`` per policy (badco,
+   interval), else ``run`` per workload (detailed and third-party
+   backends) -- into one N x P x K :class:`~repro.sim.analytic.GridRun`.
+4. *Pool.*  Chunks run in-process, or over one
+   :class:`concurrent.futures.ProcessPoolExecutor` when ``jobs > 1``
+   and there are several.  Each worker process constructs its own
+   simulators from a builder trained in the parent before the fork.
+5. *Record.*  Each chunk's per-policy panels stream into the results
+   via :meth:`~repro.sim.results.PopulationResults.record_batch`, so
+   every policy's chunks land in block and row order.
 
-Backends additionally declaring ``supports_policy_axis`` collapse even
-the per-policy loop: whenever every requested policy has the same
-pending workloads, the whole grid is one ``run_batch_grid`` N x P x K
-dispatch (or ``jobs`` row chunks, each scoring all policies), with
-each policy's slice bit-identical to its single-policy batch panel.
+Rows are independent (fresh uncore, fixed seeds), so chunking never
+changes a value: the results -- and their saved npz -- are
+bit-identical for any ``jobs``.
 
 Campaigns with a ``model_store_dir`` attach a persistent
 :class:`~repro.sim.modelstore.ModelStore` to their builder: trained
 BADCO node models and analytic calibrations are loaded from disk
 instead of retrained, bit-identically, across processes and sessions.
 
-Campaigns with a cache directory persist both the JSON interchange
-format and an ``.npz`` twin next to it; loads prefer the npz, which
-restores panels as matrices without the per-workload mapping rebuild.
+Campaigns with a cache directory persist one ``.npz`` per cache key
+(:attr:`~repro.api.config.CampaignConfig.cache_npz_path`), which
+restores panels as matrices without a per-workload mapping rebuild.
+A cache holding only the legacy JSON file
+(:attr:`~repro.api.config.CampaignConfig.cache_path`) is imported once
+and rewritten as npz on the next save; JSON is never written.  An
+unreadable npz is logged and treated as a cache miss.
 """
 
 from __future__ import annotations
 
+import logging
 import time
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import get_context
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
-from repro.api.backends import (
-    SimulatorBackend,
-    backend_supports_batch,
-    backend_supports_policy_axis,
-    get_backend,
-)
+from repro.api.backends import SimulatorBackend, get_backend
 from repro.api.config import CampaignConfig
 from repro.core.workload import Workload
 from repro.sim.results import PopulationResults
+
+logger = logging.getLogger(__name__)
+
+#: What reading an unreadable cache file raises, through both
+#: :meth:`PopulationResults.load_npz` and ``ResidentPanelCache.load``
+#: (and the legacy JSON import): a torn or foreign zip, a bad CRC or
+#: npy header, a missing member, a truncated payload.
+_UNREADABLE = (zipfile.BadZipFile, ValueError, KeyError, OSError, EOFError)
+
+#: One planned block: request-ordered rows and the policies they need.
+_Block = Tuple[List[Workload], Tuple[str, ...]]
 
 
 @dataclass
@@ -77,11 +89,49 @@ class CampaignTiming:
         return self.instructions / 1e6 / self.wall_seconds
 
 
+def _score_chunk(make_simulator: Callable[[str], Any],
+                 rows: Sequence[Workload], policies: Sequence[str]):
+    """Score a (rows x policies) chunk through the simulator's contract.
+
+    The one backend adapter, tried in order: ``run_batch_grid`` (one
+    N x P x K call), else ``run_batch`` per policy, else the README's
+    ``run`` per workload.  ``make_simulator`` builds the simulator of
+    one policy.
+
+    Returns:
+        A :class:`~repro.sim.analytic.GridRun` over ``rows`` x
+        ``policies``.
+    """
+    import numpy as np
+
+    from repro.sim.analytic import GridRun
+    from repro.sim.batch import batch_from_runs
+
+    rows = tuple(rows)
+    policies = tuple(policies)
+    simulator = make_simulator(policies[0])
+    if hasattr(simulator, "run_batch_grid"):
+        return simulator.run_batch_grid(rows, policies)
+    batches = []
+    for number, policy in enumerate(policies):
+        if number:
+            simulator = make_simulator(policy)
+        if hasattr(simulator, "run_batch"):
+            batches.append(simulator.run_batch(rows))
+        else:
+            batches.append(batch_from_runs(
+                rows, [simulator.run(workload) for workload in rows]))
+    return GridRun(rows, policies,
+                   np.stack([batch.ipcs for batch in batches], axis=1),
+                   sum(batch.instructions for batch in batches),
+                   sum(batch.wall_seconds for batch in batches))
+
+
 # ----------------------------------------------------------------------
 # Worker-process plumbing.  Each pool worker holds one backend, one
-# config and one lazily-created model builder; simulators are built per
-# task (cheap) while builders memoise per-benchmark training (the
-# expensive part) for the lifetime of the worker.
+# config and one builder (trained in the parent before the fork);
+# simulators are built per chunk (cheap) while the builder memoises
+# per-benchmark training for the lifetime of the worker.
 
 _WORKER_STATE: Dict[str, Any] = {}
 
@@ -93,38 +143,19 @@ def _worker_init(backend: SimulatorBackend, config: CampaignConfig,
     _WORKER_STATE["builder"] = builder
 
 
-def _worker_simulator(policy: str):
-    backend: SimulatorBackend = _WORKER_STATE["backend"]
+def _worker_make(policy: str):
     config: CampaignConfig = _WORKER_STATE["config"]
-    builder = _WORKER_STATE["builder"]
-    if builder is None:
-        builder = backend.make_builder(config.trace_length, config.seed)
-        _WORKER_STATE["builder"] = builder
-    return backend.make_simulator(
+    return _WORKER_STATE["backend"].make_simulator(
         config.cores, policy, config.trace_length,
-        config.warmup_fraction, config.seed, builder=builder)
+        config.warmup_fraction, config.seed,
+        builder=_WORKER_STATE["builder"])
 
 
-def _worker_simulate(task: Tuple[str, str]) -> Tuple[str, str, List[float],
-                                                     int, float]:
-    policy, workload_key = task
-    run = _worker_simulator(policy).run(Workload.from_key(workload_key))
-    return policy, workload_key, run.ipcs, run.instructions, run.wall_seconds
-
-
-def _worker_simulate_batch(task: Tuple[str, Tuple[str, ...]]):
-    policy, keys = task
-    simulator = _worker_simulator(policy)
-    run = simulator.run_batch([Workload.from_key(k) for k in keys])
-    return policy, keys, run.ipcs, run.instructions, run.wall_seconds
-
-
-def _worker_simulate_grid(task: Tuple[Tuple[str, ...], Tuple[str, ...]]):
+def _worker_score(task: Tuple[Tuple[str, ...], Tuple[str, ...]]):
     policies, keys = task
-    simulator = _worker_simulator(policies[0])
-    run = simulator.run_batch_grid(
-        [Workload.from_key(k) for k in keys], policies)
-    return keys, run.ipcs, run.instructions, run.wall_seconds
+    grid = _score_chunk(_worker_make, [Workload.from_key(k) for k in keys],
+                        policies)
+    return grid.ipcs, grid.instructions, grid.wall_seconds
 
 
 def _pool_context():
@@ -173,7 +204,7 @@ class Campaign:
         #: Lets the serve daemon call ``save`` after every query without
         #: re-serialising an unchanged 10^4-row panel each time.
         self._dirty = False
-        if config.cache_path is not None:
+        if config.cache_dir is not None:
             self._try_load()
 
     # -- convenience views on the config -------------------------------
@@ -202,41 +233,44 @@ class Campaign:
     # Cache plumbing
 
     def _try_load(self) -> None:
-        path = self.config.cache_path
+        """Load the npz cache, or import a legacy JSON-only cache once.
+
+        An unreadable file is logged and treated as a miss: the campaign
+        starts empty and its next dirty save replaces the file.
+        """
         npz = self.config.cache_npz_path
-        if npz is not None and npz.exists() and not (
-                path.exists()
-                and path.stat().st_mtime > npz.stat().st_mtime):
-            # The fast twin: panels come back as matrices, no mapping
-            # rebuild (see PopulationResults.load_npz).  A JSON file
-            # newer than the npz (hand-regenerated) wins; a corrupt
-            # npz (e.g. a save interrupted mid-write) falls through.
-            try:
-                if self.panel_cache is not None:
-                    self.results = self.panel_cache.load(npz)
-                else:
-                    self.results = PopulationResults.load_npz(npz)
-                self._loaded_from_cache = True
-                return
-            except Exception:
-                pass
-        if path.exists():
-            self.results = PopulationResults.load(path)
-            self._loaded_from_cache = True
+        legacy = self.config.cache_path
+        path = npz if npz.exists() else legacy
+        if not path.exists():
+            return
+        try:
+            if path == legacy:
+                self.results = PopulationResults.load(legacy)
+                self._dirty = True       # the next save writes the npz
+            elif self.panel_cache is not None:
+                self.results = self.panel_cache.load(npz)
+            else:
+                self.results = PopulationResults.load_npz(npz)
+        except _UNREADABLE as error:
+            logger.warning("unreadable campaign cache %s (%s: %s); "
+                           "treating it as a miss", path,
+                           type(error).__name__, error)
+            return
+        self._loaded_from_cache = True
 
     def save(self) -> None:
-        """Persist results (no-op without a cache directory).
+        """Persist results to the cache key's ``.npz``.
 
-        Writes the JSON interchange file and its ``.npz`` twin side by
-        side; loads prefer the npz.  A clean campaign (nothing recorded
-        since the last save or cache load) is a no-op, so warm served
-        queries never re-serialise an unchanged panel.
+        A no-op without a cache directory, and for a clean campaign
+        (nothing recorded since the last save or cache load), so warm
+        served queries never re-serialise an unchanged panel.
 
         Writers serialise on a per-cache-key :class:`repro.ioutil.
-        FileLock` so two processes filling the same cache entry can't
-        interleave their read-modify-write cycles (atomic replaces
-        already keep *readers* safe; mmap'd readers keep the replaced
-        inode alive and simply see the pre-save snapshot).
+        FileLock` (``<cache_key>.lock``) so two processes filling the
+        same cache entry can't interleave their read-modify-write cycles
+        (atomic replaces already keep *readers* safe; mmap'd readers
+        keep the replaced inode alive and simply see the pre-save
+        snapshot).
 
         Lock ordering: the campaign-cache lock and the
         :class:`~repro.sim.modelstore.ModelStore` writer lock are never
@@ -246,20 +280,13 @@ class Campaign:
         that needs both must take the store lock first, matching that
         existing order.
         """
-        path = self.config.cache_path
-        if path is None:
-            return
         npz = self.config.cache_npz_path
-        if not self._dirty and path.exists() and npz.exists():
+        if npz is None or (not self._dirty and npz.exists()):
             return
         from repro.ioutil import FileLock
 
-        with FileLock(path.parent / f"{self.config.cache_key}.lock"):
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # JSON first, npz second: the npz ends up the newer twin,
-            # so _try_load prefers it (a half-written npz from a crash
-            # here is caught by the load fallback).
-            self.results.save(path)
+        with FileLock(npz.parent / f"{self.config.cache_key}.lock"):
+            npz.parent.mkdir(parents=True, exist_ok=True)
             self.results.save_npz(npz)
         self._dirty = False
         if self.panel_cache is not None:
@@ -277,131 +304,93 @@ class Campaign:
             builder=self.builder)
 
     def run_workload(self, workload: Workload, policy: str) -> List[float]:
-        """Per-core IPCs of one (workload, policy), memoised."""
-        if not self.results.has(policy, workload):
-            run = self._make_simulator(policy).run(workload)
-            self.timing.simulations += 1
-            self.timing.instructions += run.instructions
-            self.timing.wall_seconds += run.wall_seconds
-            self.results.record(policy, workload, run.ipcs)
-            self._dirty = True
+        """Per-core IPCs of one (workload, policy): a one-cell grid."""
+        self.run_grid([workload], [policy])
         return self.results.ipcs(policy, workload)
 
     def run_grid(self, workloads: Iterable[Workload],
                  policies: Sequence[str]) -> PopulationResults:
-        """Simulate every (workload, policy) pair; returns the results.
+        """Simulate every pending (workload, policy) cell.
 
-        ``jobs=1`` runs in-process; ``jobs>1`` distributes the pending
-        cells over a process pool and merges deterministically (see
-        module docstring).
+        Plans the pending cells into blocks, splits each block into at
+        most ``jobs`` row chunks, scores them in-process or over one
+        process pool, and records them in a fixed order (see module
+        docstring), so the results are the same for any ``jobs``.
+
+        Returns:
+            The campaign's results, now covering the whole grid.
+        """
+        chunks = []
+        for rows, block_policies in self._pending_blocks(workloads,
+                                                         policies):
+            step = -(-len(rows) // self.config.jobs)
+            chunks.extend((rows[start:start + step], block_policies)
+                          for start in range(0, len(rows), step))
+        if self.config.jobs > 1 and len(chunks) > 1:
+            grids = self._score_pool(chunks)
+        else:
+            grids = [_score_chunk(self._make_simulator, rows, chunk_policies)
+                     for rows, chunk_policies in chunks]
+        # Chunks come block by block, each block in row order, so every
+        # policy's panel blocks are recorded in the same order -- and
+        # saved as the same npz bytes -- for any ``jobs``.
+        for grid in grids:
+            for number, policy in enumerate(grid.policies):
+                self.results.record_batch(policy, grid.workloads,
+                                          grid.ipcs[:, number, :])
+            self.timing.simulations += len(grid.workloads) * len(
+                grid.policies)
+            self.timing.instructions += grid.instructions
+            self.timing.wall_seconds += grid.wall_seconds
+            self._dirty = True
+        return self.results
+
+    def _pending_blocks(self, workloads: Iterable[Workload],
+                        policies: Sequence[str]) -> List[_Block]:
+        """Plan the pending cells as (rows x policies) blocks.
+
+        Rows are grouped by the tuple of policies that still need them.
+        Blocks covering more policies come first, ties by first row
+        position; within a block, rows and policies keep request order
+        and duplicates collapse.  Reads the results, simulates nothing.
         """
         workloads = list(workloads)
-        if backend_supports_batch(self.backend):
-            return self._run_grid_batch(workloads, policies)
-        if self.config.jobs == 1:
-            for workload in workloads:
-                for policy in policies:
-                    self.run_workload(workload, policy)
-            return self.results
-        return self._run_grid_parallel(workloads, policies)
+        has = self.results.has
+        needs: Dict[Workload, List[str]] = {}
+        for policy in dict.fromkeys(policies):
+            for workload in dict.fromkeys(
+                    w for w in workloads if not has(policy, w)):
+                needs.setdefault(workload, []).append(policy)
+        if not needs:
+            return []
+        blocks: Dict[Tuple[str, ...], List[Workload]] = {}
+        for workload in workloads:
+            needed = needs.pop(workload, None)
+            if needed:
+                blocks.setdefault(tuple(needed), []).append(workload)
+        return sorted(((rows, needed) for needed, rows in blocks.items()),
+                      key=lambda block: -len(block[1]))
 
-    # -- batch path ----------------------------------------------------
+    def _score_pool(self, chunks: Sequence[_Block]) -> List[Any]:
+        """Score chunks over a process pool, returned in chunk order."""
+        from repro.sim.analytic import GridRun
 
-    def _record_batch(self, policy: str, workloads: Sequence[Workload],
-                      ipcs, instructions: int, wall: float) -> None:
-        self.results.record_batch(policy, workloads, ipcs)
-        self._dirty = True
-        self.timing.simulations += len(workloads)
-        self.timing.instructions += instructions
-        self.timing.wall_seconds += wall
-
-    def _run_grid_batch(self, workloads: Sequence[Workload],
-                        policies: Sequence[str]) -> PopulationResults:
-        """One ``run_batch`` call (or ``jobs`` chunks) per policy.
-
-        Batch rows are independent, so per-policy panels concatenated
-        from pool chunks are bit-identical to a serial run.
-        """
-        pending: List[Tuple[str, List[Workload]]] = []
-        for policy in policies:
-            seen = set()
-            todo = []
-            for workload in workloads:
-                if workload in seen or self.results.has(policy, workload):
-                    continue
-                seen.add(workload)
-                todo.append(workload)
-            if todo:
-                pending.append((policy, todo))
-        if not pending:
-            return self.results
-        cells = sum(len(todo) for _, todo in pending)
-        workers = min(self.config.jobs, cells)
-        # Policy-axis backends collapse the per-policy loop into one
-        # N x P x K dispatch whenever every policy has the same pending
-        # rows (the common case: a fresh or uniformly-cached grid).
-        # Ragged caches grid-dispatch the rows every policy still
-        # shares, then finish the per-policy remainders below.
-        if backend_supports_policy_axis(self.backend) and len(pending) > 1:
-            if all(todo == pending[0][1] for _, todo in pending[1:]):
-                return self._run_grid_policy_axis(pending[0][1],
-                                                  [p for p, _ in pending],
-                                                  workers)
-            shared_keys = set(pending[0][1])
-            for _, todo in pending[1:]:
-                shared_keys &= set(todo)
-            if shared_keys:
-                shared = [w for w in pending[0][1] if w in shared_keys]
-                self._run_grid_policy_axis(shared,
-                                           [p for p, _ in pending],
-                                           workers)
-                pending = [(policy,
-                            [w for w in todo if w not in shared_keys])
-                           for policy, todo in pending]
-                pending = [(policy, todo) for policy, todo in pending
-                           if todo]
-                if not pending:
-                    return self.results
-                cells = sum(len(todo) for _, todo in pending)
-                workers = min(self.config.jobs, cells)
-                # Remainders are often uniform among themselves (one
-                # policy was cached, the rest share its missing rows).
-                if (len(pending) > 1
-                        and all(todo == pending[0][1]
-                                for _, todo in pending[1:])):
-                    return self._run_grid_policy_axis(
-                        pending[0][1], [p for p, _ in pending], workers)
-        if workers <= 1:
-            for policy, todo in pending:
-                run = self._make_simulator(policy).run_batch(todo)
-                self._record_batch(policy, todo, run.ipcs,
-                                   run.instructions, run.wall_seconds)
-            return self.results
         self._prepare_builder(
-            sorted({name for _, todo in pending
-                    for workload in todo for name in workload}),
-            [policy for policy, _ in pending])
-        tasks = []
-        for policy, todo in pending:
-            step = (len(todo) + workers - 1) // workers
-            for start in range(0, len(todo), step):
-                chunk = todo[start:start + step]
-                tasks.append((policy, tuple(w.key() for w in chunk)))
-        merged: Dict[Tuple[str, Tuple[str, ...]], Tuple] = {}
+            sorted({name for rows, _ in chunks
+                    for workload in rows for name in workload}),
+            list(dict.fromkeys(policy for _, policies in chunks
+                               for policy in policies)))
+        tasks = [(policies, tuple(w.key() for w in rows))
+                 for rows, policies in chunks]
         with ProcessPoolExecutor(
-                max_workers=workers, mp_context=_pool_context(),
+                max_workers=min(self.config.jobs, len(tasks)),
+                mp_context=_pool_context(),
                 initializer=_worker_init,
                 initargs=(self.backend, self.config, self.builder)) as pool:
-            for policy, keys, ipcs, instructions, wall in pool.map(
-                    _worker_simulate_batch, tasks):
-                merged[(policy, keys)] = (ipcs, instructions, wall)
-        # Record chunks in task order, i.e. exactly the serial order.
-        for task in tasks:
-            policy, keys = task
-            ipcs, instructions, wall = merged[task]
-            chunk = [Workload.from_key(key) for key in keys]
-            self._record_batch(policy, chunk, ipcs, instructions, wall)
-        return self.results
+            scored = list(pool.map(_worker_score, tasks))
+        return [GridRun(tuple(rows), policies, ipcs, instructions, wall)
+                for (rows, policies), (ipcs, instructions, wall)
+                in zip(chunks, scored)]
 
     def _prepare_builder(self, benchmarks: Sequence[str],
                          policies: Sequence[str]) -> None:
@@ -418,110 +407,6 @@ class Campaign:
         elif hasattr(self.builder, "build"):
             for benchmark in benchmarks:
                 self.builder.build(benchmark)
-
-    def _run_grid_policy_axis(self, todo: Sequence[Workload],
-                              policies: Sequence[str],
-                              workers: int) -> PopulationResults:
-        """One ``run_batch_grid`` dispatch for the whole pending grid.
-
-        Every policy shares the same pending rows, so the engine's
-        per-policy loop becomes a single N x P x K call (``jobs=1``) or
-        ``jobs`` row chunks, each scoring all policies (``jobs>1``).
-        Rows are independent and each policy's slice equals its
-        single-policy batch panel, so results stay bit-identical to the
-        per-policy path for any ``jobs``.
-        """
-        todo = list(todo)
-        policies = list(policies)
-        workers = min(workers, len(todo))
-        if workers <= 1:
-            grid = self._make_simulator(policies[0]).run_batch_grid(
-                todo, policies)
-            self.timing.simulations += len(todo) * len(policies)
-            self.timing.instructions += grid.instructions
-            self.timing.wall_seconds += grid.wall_seconds
-            for number, policy in enumerate(policies):
-                self.results.record_batch(policy, todo,
-                                          grid.ipcs[:, number, :])
-            self._dirty = True
-            return self.results
-        self._prepare_builder(
-            sorted({name for workload in todo for name in workload}),
-            policies)
-        step = (len(todo) + workers - 1) // workers
-        chunk_keys = [tuple(w.key() for w in todo[start:start + step])
-                      for start in range(0, len(todo), step)]
-        tasks = [(tuple(policies), keys) for keys in chunk_keys]
-        merged: Dict[Tuple[str, ...], Tuple] = {}
-        with ProcessPoolExecutor(
-                max_workers=workers, mp_context=_pool_context(),
-                initializer=_worker_init,
-                initargs=(self.backend, self.config, self.builder)) as pool:
-            for keys, ipcs, instructions, wall in pool.map(
-                    _worker_simulate_grid, tasks):
-                merged[keys] = (ipcs, instructions, wall)
-        # Record policy-major with chunks in row order -- exactly the
-        # block layout the serial per-policy path would produce.
-        for number, policy in enumerate(policies):
-            for keys in chunk_keys:
-                ipcs, _, _ = merged[keys]
-                chunk = [Workload.from_key(key) for key in keys]
-                self.results.record_batch(policy, chunk,
-                                          ipcs[:, number, :])
-                self._dirty = True
-        for keys in chunk_keys:
-            ipcs, instructions, wall = merged[keys]
-            self.timing.simulations += ipcs.shape[0] * len(policies)
-            self.timing.instructions += instructions
-            self.timing.wall_seconds += wall
-        return self.results
-
-    # -- per-workload pool path ----------------------------------------
-
-    def _run_grid_parallel(self, workloads: Sequence[Workload],
-                           policies: Sequence[str]) -> PopulationResults:
-        pending: List[Tuple[str, str]] = []
-        seen = set()
-        for workload in workloads:
-            for policy in policies:
-                task = (policy, workload.key())
-                if task in seen or self.results.has(policy, workload):
-                    continue
-                seen.add(task)
-                pending.append(task)
-        if not pending:
-            return self.results
-        # Train models once in the parent before the pool starts: forked
-        # workers inherit the trained cache (and spawn ships it in the
-        # initializer pickle) instead of re-training per worker.  Only
-        # benchmarks with pending cells need models.
-        if self.builder is not None and hasattr(self.builder, "build"):
-            for benchmark in sorted({name for _, key in pending
-                                     for name in Workload.from_key(key)}):
-                self.builder.build(benchmark)
-        merged: Dict[Tuple[str, str], Tuple[List[float], int, float]] = {}
-        workers = min(self.config.jobs, len(pending))
-        with ProcessPoolExecutor(
-                max_workers=workers, mp_context=_pool_context(),
-                initializer=_worker_init,
-                initargs=(self.backend, self.config, self.builder)) as pool:
-            for policy, key, ipcs, instructions, wall in pool.map(
-                    _worker_simulate, pending):
-                merged[(policy, key)] = (ipcs, instructions, wall)
-        # Record in the exact order the serial path would have, so the
-        # results (and their JSON) are bit-identical for any `jobs`.
-        for workload in workloads:
-            for policy in policies:
-                entry = merged.pop((policy, workload.key()), None)
-                if entry is None:
-                    continue
-                ipcs, instructions, wall = entry
-                self.timing.simulations += 1
-                self.timing.instructions += instructions
-                self.timing.wall_seconds += wall
-                self.results.record(policy, workload, ipcs)
-                self._dirty = True
-        return self.results
 
     def reference_ipcs(self, benchmarks: Iterable[str],
                        policy: str = "LRU") -> Dict[str, float]:

@@ -1,7 +1,7 @@
 """Atomic file writes: the temp + ``os.replace`` idiom, shared.
 
-Every persistent artefact in the project -- campaign JSON caches and
-their npz twins, model-store entries, bench trajectories -- must be
+Every persistent artefact in the project -- campaign npz caches,
+model-store entries, bench trajectories -- must be
 written atomically so that concurrent readers (and the planned
 estimation daemon's resident panels) never observe a torn file.  POSIX
 ``rename``/``replace`` within one directory is atomic, so the idiom is:

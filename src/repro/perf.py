@@ -24,11 +24,12 @@ Five suites, written to the same ``BENCH_analytics.json`` trajectory:
   The suite then times :meth:`~repro.api.Session.estimate_two_stage`
   against the warm store (``e2e-two-stage``: analytic screen plus a
   budgeted badco refine, with the refine phase broken out as
-  ``e2e-two-stage-refine``).  The sim suite likewise records the
-  event-driven ``run_batch`` entry point serial vs pool-chunked vs
-  auto-sized (``sim-batch-parallel-jobs1`` / ``-jobs2`` / ``-auto``,
-  bit-identical panels; ``-auto`` is ``jobs=0``, one worker per CPU --
-  the ratio is what process fan-out buys on the host);
+  ``e2e-two-stage-refine``).  The sim suite likewise records one
+  policy's badco grid through the campaign engine serial vs
+  pool-chunked vs auto-sized (``sim-batch-parallel-jobs1`` /
+  ``-jobs2`` / ``-auto``, bit-identical panels; ``-auto`` is
+  ``jobs=0``, one worker per CPU -- the ratio is what process fan-out
+  buys on the host);
 - *serve* (:func:`run_serve_bench`) -- the resident-state daemon
   (:mod:`repro.serve`): the same e2e frame answered by ``repro serve``
   over a Unix socket.  ``serve-query-cold`` is the daemon's first
@@ -380,34 +381,21 @@ def run_sim_bench(profile: str = "smoke",
     record("sim-panel-badco", "badco", time.perf_counter() - start,
            campaign.timing.mips)
 
-    # --- the batch entry point on the warm builder: the serial
-    # per-workload loop against the pool-chunked dispatch (bit-equal
-    # panels; the ratio records what process fan-out buys -- about 1x
-    # on a single-core host, where it only pays fork overhead).
-    from repro.sim.badco.multicore import BadcoSimulator
-
-    simulator = BadcoSimulator(cores=cores, policy=SIM_POLICIES[1],
-                               builder=badco_builder,
-                               trace_length=trace_length)
-    start = time.perf_counter()
-    serial_batch = simulator.run_batch(workloads, jobs=1)
-    seconds = time.perf_counter() - start
-    record("sim-batch-parallel-jobs1", "badco", seconds,
-           serial_batch.instructions / seconds / 1e6)
-    start = time.perf_counter()
-    parallel_batch = simulator.run_batch(workloads, jobs=2)
-    seconds = time.perf_counter() - start
-    record("sim-batch-parallel-jobs2", "badco", seconds,
-           parallel_batch.instructions / seconds / 1e6)
-    assert np.array_equal(serial_batch.ipcs, parallel_batch.ipcs), \
-        "pool-chunked run_batch diverged from the serial loop"
-    start = time.perf_counter()
-    auto_batch = simulator.run_batch(workloads, jobs=0)
-    seconds = time.perf_counter() - start
-    record("sim-batch-parallel-auto", "badco", seconds,
-           auto_batch.instructions / seconds / 1e6)
-    assert np.array_equal(serial_batch.ipcs, auto_batch.ipcs), \
-        "auto-sized run_batch diverged from the serial loop"
+    # --- the engine's pool on the warm builder: one policy's grid at
+    # jobs=1, 2 and auto (bit-equal panels; the ratio records what
+    # process fan-out buys -- about 1x on a single-core host, where it
+    # only pays fork overhead).
+    panels = {}
+    for label, jobs in (("jobs1", 1), ("jobs2", 2), ("auto", 0)):
+        campaign = Campaign(config.replace(jobs=jobs), builder=badco_builder)
+        start = time.perf_counter()
+        campaign.run_grid(workloads, SIM_POLICIES[1:2])
+        seconds = time.perf_counter() - start
+        record(f"sim-batch-parallel-{label}", "badco", seconds,
+               campaign.timing.instructions / seconds / 1e6)
+        panels[label] = campaign.results.to_json()
+    assert panels["jobs1"] == panels["jobs2"] == panels["auto"], \
+        "pool-chunked grids diverged from the serial grid"
 
     # --- the analytic batch path: calibration, then one array call.
     analytic_builder = AnalyticModelBuilder(trace_length, seed,

@@ -31,10 +31,9 @@ from repro.sim.detailed import WorkloadRun, _MeasuredThread
 class BadcoSimulator(EventDrivenBatchMixin):
     """Simulate workloads with BADCO machines sharing a real uncore.
 
-    Also offers ``run_batch(workloads, jobs=1)`` (via
+    Also offers ``run_batch(workloads)`` (via
     :class:`~repro.sim.batch.EventDrivenBatchMixin`): the stacked
-    N x K panel of per-workload runs, optionally chunked over a process
-    pool with bit-identical merges for any ``jobs``.
+    N x K panel of per-workload runs.
 
     Args:
         cores: number of cores K.

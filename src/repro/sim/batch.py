@@ -2,149 +2,59 @@
 
 The analytic backend scores a whole workload panel in one array call;
 the event-driven ``badco`` and ``interval`` simulators advance one
-Python event loop per workload and historically exposed only
-``run(workload)``.  This module gives them a real ``run_batch``: the
-same N x K panel contract as :class:`repro.sim.analytic.BatchRun`, built
-by running the per-workload loop over every row -- serially, or chunked
-over a :class:`concurrent.futures.ProcessPoolExecutor`.
+Python event loop per workload.  This module gives them ``run_batch``:
+the same N x K panel contract as :class:`repro.sim.analytic.BatchRun`,
+built by running the per-workload loop over every row in order.
 
 Every event-driven run is independent (fresh :class:`~repro.mem.uncore.
-Uncore` per workload, fixed seeds, no cross-run state), so chunking a
-batch across processes never changes values: chunks are merged in row
-order and the resulting panel is bit-identical for any ``jobs``, the
-same invariance contract the campaign engine's pool path relies on.
-Before forking, the parent trains every benchmark the batch needs
-(through the simulator's shared builder, which consults its attached
-:class:`~repro.sim.modelstore.ModelStore`), so workers inherit warm
-models and train nothing.
+Uncore` per workload, fixed seeds, no cross-run state), so a batch is
+bit-identical to its per-workload ``run`` calls and to any split of its
+rows.  Parallelism lives in one place, the campaign engine
+(:class:`repro.api.engine.Campaign`), which chunks grids over its
+process pool and calls ``run_batch`` per chunk and policy.
 
 :class:`EventDrivenBatchMixin` is mixed into
 :class:`~repro.sim.badco.multicore.BadcoSimulator` and
-:class:`~repro.sim.interval.multicore.IntervalSimulator`; with it their
-backends declare ``supports_batch = True`` and campaign grids take the
-engine's batch path (serial per-policy calls or jobs-invariant pool
-chunks) exactly as they do for the analytic backend.
+:class:`~repro.sim.interval.multicore.IntervalSimulator`.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.core.workload import Workload
 from repro.sim.analytic import BatchRun
 
-# Worker-process state: one simulator per worker, installed by the pool
-# initializer (fork shares the parent's trained builder; spawn ships it
-# in the initializer pickle).
-_BATCH_STATE: Dict[str, Any] = {}
-
-
-def _batch_worker_init(simulator: Any) -> None:
-    _BATCH_STATE["simulator"] = simulator
-
-
-def _batch_worker_run(task: Tuple[int, Tuple[str, ...]]
-                      ) -> Tuple[int, np.ndarray, int, float]:
-    start, keys = task
-    simulator = _BATCH_STATE["simulator"]
-    ipcs = np.empty((len(keys), simulator.cores), dtype=np.float64)
-    instructions = 0
-    wall = 0.0
-    for i, key in enumerate(keys):
-        run = simulator.run(Workload.from_key(key))
-        ipcs[i] = run.ipcs
-        instructions += run.instructions
-        wall += run.wall_seconds
-    return start, ipcs, instructions, wall
-
 
 class EventDrivenBatchMixin:
     """``run_batch`` for simulators whose unit of work is one ``run``.
 
-    Host classes must provide ``run(workload) -> WorkloadRun``,
-    ``cores`` and a ``builder`` with per-benchmark ``build`` memoisation
-    (both event-driven simulators do).
+    Host classes must provide ``run(workload) -> WorkloadRun`` and
+    ``cores`` (both event-driven simulators do).
     """
 
-    def run_batch(self, workloads: Sequence[Workload],
-                  jobs: int = 1) -> BatchRun:
-        """Simulate every workload; returns the stacked N x K panel.
-
-        Args:
-            workloads: the rows of the panel, in order.
-            jobs: worker processes.  ``1`` (the engine's per-worker
-                default) runs the loop in-process; ``jobs > 1`` fans
-                contiguous row chunks out over a process pool and
-                merges them in row order -- bit-identical to ``jobs=1``
-                and to calling :meth:`run` per workload, because every
-                run builds its own uncore from fixed seeds.  ``0`` means
-                auto: one worker per available CPU (see
-                :func:`repro.api.config.resolve_jobs`), which on a
-                1-core host stays serial instead of paying pool
-                overhead for nothing.
+    def run_batch(self, workloads: Sequence[Workload]) -> BatchRun:
+        """Simulate every workload in order; returns the N x K panel.
 
         Returns:
             A :class:`~repro.sim.analytic.BatchRun` whose
-            ``wall_seconds`` sums the per-run simulation walls (the
-            comparable cost basis across ``jobs`` settings).
+            ``wall_seconds`` sums the per-run simulation walls.
         """
-        from repro.api.config import resolve_jobs
-
         workloads = tuple(workloads)
         if not workloads:
             return BatchRun((), np.empty((0, self.cores)), 0, 0.0)
-        workers = min(resolve_jobs(int(jobs)), len(workloads))
-        if workers <= 1:
-            ipcs = np.empty((len(workloads), self.cores), dtype=np.float64)
-            instructions = 0
-            wall = 0.0
-            for i, workload in enumerate(workloads):
-                run = self.run(workload)
-                ipcs[i] = run.ipcs
-                instructions += run.instructions
-                wall += run.wall_seconds
-            return BatchRun(workloads, ipcs, instructions, wall)
-        return self._run_batch_pool(workloads, workers)
-
-    def _run_batch_pool(self, workloads: Tuple[Workload, ...],
-                        workers: int) -> BatchRun:
-        from repro.api.engine import _pool_context
-
-        # Train in the parent so forked workers inherit warm models
-        # (and a spawn initializer ships them, trained) -- with a model
-        # store attached this loads from disk instead of training.
-        builder = getattr(self, "builder", None)
-        if builder is not None and hasattr(builder, "build"):
-            for benchmark in sorted({b for w in workloads for b in w}):
-                builder.build(benchmark)
-        step = (len(workloads) + workers - 1) // workers
-        tasks = [(start, tuple(w.key() for w in workloads[start:start + step]))
-                 for start in range(0, len(workloads), step)]
-        ipcs = np.empty((len(workloads), self.cores), dtype=np.float64)
-        instructions = 0
-        wall = 0.0
-        with ProcessPoolExecutor(
-                max_workers=workers, mp_context=_pool_context(),
-                initializer=_batch_worker_init,
-                initargs=(self,)) as pool:
-            for start, chunk_ipcs, chunk_instructions, chunk_wall in \
-                    pool.map(_batch_worker_run, tasks):
-                ipcs[start:start + chunk_ipcs.shape[0]] = chunk_ipcs
-                instructions += chunk_instructions
-                wall += chunk_wall
-        return BatchRun(workloads, ipcs, instructions, wall)
+        return batch_from_runs(workloads,
+                               [self.run(workload) for workload in workloads])
 
 
 def batch_from_runs(workloads: Sequence[Workload],
                     runs: Sequence[Any]) -> BatchRun:
     """Stack per-workload :class:`WorkloadRun` results into a panel.
 
-    The reference construction batch tests compare against: the panel
-    of ``run_batch`` must equal the stacked panel of per-workload
-    ``run`` calls, bit for bit.
+    The panel of ``run_batch`` and of the engine's ``run``-only adapter:
+    row ``i`` is ``runs[i].ipcs``, bit for bit.
     """
     workloads = tuple(workloads)
     ipcs = np.array([run.ipcs for run in runs], dtype=np.float64)
@@ -153,10 +63,3 @@ def batch_from_runs(workloads: Sequence[Workload],
     return BatchRun(workloads, ipcs,
                     sum(run.instructions for run in runs),
                     sum(run.wall_seconds for run in runs))
-
-
-def _chunk_spans(total: int, workers: int) -> List[Tuple[int, int]]:
-    """The contiguous (start, stop) spans ``run_batch`` dispatches."""
-    step = (total + workers - 1) // workers
-    return [(start, min(start + step, total))
-            for start in range(0, total, step)]

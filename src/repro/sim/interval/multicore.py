@@ -23,7 +23,7 @@ class IntervalSimulator(EventDrivenBatchMixin):
     experiments can swap simulator families freely.  ``run_batch``
     (via :class:`~repro.sim.batch.EventDrivenBatchMixin`) stacks
     per-workload runs into the analytic backend's N x K panel
-    contract, optionally chunk-parallel with bit-identical merges.
+    contract.
     """
 
     name = "interval"

@@ -13,7 +13,7 @@ Keys are explicit: every artefact file name carries the benchmark (or
 policy) it belongs to, a short configuration *signature* -- a SHA-256
 digest over everything the artefact depends on (trace length, seed,
 the full core / uncore configuration reprs, warmup fraction) -- and the
-store format version.  Like the campaign npz twin, bumping
+store format version.  Like the campaign npz cache, bumping
 :data:`MODELSTORE_VERSION` orphans every stale file at once; stale or
 corrupt entries are never served, they are silently retrained.
 

@@ -18,12 +18,13 @@ Two write paths feed it:
   panels practical.  Legacy dict reads (:meth:`ipc_table`,
   :meth:`to_json`) materialise the blocks on first use.
 
-Persistence is dual: JSON (:meth:`save`/:meth:`load`, the readable
-interchange format) and NumPy ``.npz`` (:meth:`save_npz`/
-:meth:`load_npz`, written next to the JSON cache), which loads panels
-as matrices directly -- skipping both JSON parsing and the mapping
-rebuild.  The two round-trip identically: float64 survives JSON via
-shortest-repr and npz via raw bytes.
+Persistence is one NumPy ``.npz`` per campaign (:meth:`save_npz`/
+:meth:`load_npz`), which loads panels as matrices directly -- no JSON
+parsing, no mapping rebuild -- and can serve them memory-mapped.
+:meth:`to_json`/:meth:`from_json` remain the readable interchange form
+(and the bit-identity oracle of the tests); :meth:`load` reads the
+legacy JSON cache files of older releases, which campaigns import once
+and rewrite as npz.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.workload import Workload
-from repro.ioutil import atomic_open, atomic_write_text
+from repro.ioutil import atomic_open
 
 IpcVector = List[float]
 
@@ -286,14 +287,12 @@ class PopulationResults:
                 results.record(policy, Workload.from_key(key), ipcs)
         return results
 
-    def save(self, path: Path) -> None:
-        atomic_write_text(path, self.to_json())
-
     @staticmethod
     def load(path: Path) -> "PopulationResults":
+        """Read a legacy JSON cache file (the one-way import source)."""
         return PopulationResults.from_json(Path(path).read_text())
 
-    def save_npz(self, path: Path, compressed: bool = False) -> None:
+    def save_npz(self, path: Path) -> None:
         """Persist as NumPy arrays (the fast cache format).
 
         Per policy: one workload-key string array plus the matching
@@ -301,12 +300,10 @@ class PopulationResults:
         :meth:`record_batch`, so a reloaded population keeps the
         columnar fast path -- no mapping rebuild.
 
-        Uncompressed (the default since the serve daemon landed):
-        float64 IPC panels barely deflate, and only ``ZIP_STORED``
-        members can be served by :meth:`load_npz`'s ``mmap_mode`` path
-        (the daemon's resident panels map the cache file instead of
-        materialising it).  Pass ``compressed=True`` to trade the mmap
-        fast path for a smaller file.
+        Uncompressed: float64 IPC panels barely deflate, and only
+        ``ZIP_STORED`` members can be served by :meth:`load_npz`'s
+        ``mmap_mode`` path (the daemon's resident panels map the cache
+        file instead of materialising it).
         """
         arrays: Dict[str, np.ndarray] = {
             "cores": np.array(self.cores, dtype=np.int64),
@@ -336,9 +333,8 @@ class PopulationResults:
                 panel = panel.reshape(len(rows), self.cores)
             arrays[f"workloads_{number}"] = np.array(keys, dtype=str)
             arrays[f"ipcs_{number}"] = panel
-        save = np.savez_compressed if compressed else np.savez
         with atomic_open(path, "wb") as handle:
-            save(handle, **arrays)
+            np.savez(handle, **arrays)
 
     @staticmethod
     def load_npz(path: Path,
@@ -346,7 +342,7 @@ class PopulationResults:
         """Inverse of :meth:`save_npz`; panels stay columnar.
 
         Args:
-            path: the ``.npz`` twin to read.
+            path: the ``.npz`` file to read.
             mmap_mode: if ``"r"``, IPC panels stored uncompressed in
                 the zip are served as read-only :class:`numpy.memmap`
                 views over the cache file instead of being read into
@@ -356,8 +352,15 @@ class PopulationResults:
                 writer that atomically replaces the cache file leaves
                 existing mappings on the old inode, so a loaded
                 results object is always an internally consistent
-                snapshot.  Compressed members (and the small metadata
-                arrays) silently fall back to an eager read.
+                snapshot.  Compressed members (caches written by
+                older releases) and the small metadata arrays fall back
+                to an eager read.
+
+        Raises:
+            zipfile.BadZipFile, ValueError, KeyError, OSError, EOFError:
+                the file is not a readable panel archive (torn, foreign
+                or bit-flipped); campaigns log it and treat it as a
+                cache miss.
         """
         mapped: Dict[str, np.ndarray] = {}
         if mmap_mode is not None:

@@ -176,7 +176,7 @@ def test_analytic_campaign_cache_roundtrip(tmp_path, parity_population):
     first.run_grid(workloads, ["LRU"])
     first.save()
     assert config.cache_npz_path.exists()
-    assert config.cache_path.exists()
+    assert not config.cache_path.exists()        # no JSON twin
     # Serialising must not collapse the columnar blocks ...
     assert "LRU" in first.results._blocks
     second = Campaign(config)
@@ -234,42 +234,6 @@ def test_protection_probe_bounds():
         value = builder.protection(uncore_config_for_cores(2, policy))
         assert 0.0 <= value <= 1.0
     assert builder.protection(uncore_config_for_cores(2, "LRU")) == 0.0
-
-
-def test_corrupt_npz_cache_falls_back_to_json(tmp_path, parity_population):
-    workloads = list(parity_population)[:3]
-    config = CampaignConfig(backend="analytic", cores=2,
-                            trace_length=TEST_TRACE_LENGTH,
-                            cache_dir=tmp_path)
-    first = Campaign(config)
-    first.run_grid(workloads, ["LRU"])
-    first.save()
-    config.cache_npz_path.write_bytes(b"not a zip file")
-    second = Campaign(config)            # must not raise
-    assert second._loaded_from_cache
-    for workload in workloads:
-        assert second.results.ipcs("LRU", workload) == \
-            first.results.ipcs("LRU", workload)
-
-
-def test_newer_json_cache_wins_over_stale_npz(tmp_path, parity_population):
-    import os
-
-    workloads = list(parity_population)[:2]
-    config = CampaignConfig(backend="analytic", cores=2,
-                            trace_length=TEST_TRACE_LENGTH,
-                            cache_dir=tmp_path)
-    first = Campaign(config)
-    first.run_grid(workloads, ["LRU"])
-    first.save()
-    # Regenerate the JSON by hand (newer mtime): it must be preferred.
-    edited = Campaign(config)
-    edited.results.record("DIP", workloads[0], [1.0, 2.0])
-    config.cache_path.write_text(edited.results.to_json())
-    later = config.cache_npz_path.stat().st_mtime + 5
-    os.utime(config.cache_path, (later, later))
-    reloaded = Campaign(config)
-    assert reloaded.results.has("DIP", workloads[0])
 
 
 # ----------------------------------------------------------------------
@@ -347,29 +311,13 @@ def test_run_batch_grid_validates_inputs(parity_population):
 
 
 def test_engine_single_dispatch_equals_per_policy_path(parity_population):
-    """The engine's grid dispatch must reproduce per-policy batches."""
-    from repro.api.backends import backend_supports_policy_axis
-
+    """One multi-policy grid == one grid per policy, bit for bit."""
     workloads = list(parity_population)
     grid_campaign = _campaign("analytic")
-    assert backend_supports_policy_axis(grid_campaign.backend)
     grid_campaign.run_grid(workloads, PARITY_POLICIES)
-
-    # Force the per-policy fallback by hiding the capability.
     loop_campaign = _campaign("analytic")
-
-    class NoAxis:
-        name = "analytic"
-        supports_batch = True
-        supports_policy_axis = False
-
-        def __getattr__(self, attribute):
-            from repro.api.backends import get_backend
-
-            return getattr(get_backend("analytic"), attribute)
-
-    loop_campaign.backend = NoAxis()
-    loop_campaign.run_grid(workloads, PARITY_POLICIES)
+    for policy in PARITY_POLICIES:
+        loop_campaign.run_grid(workloads, [policy])
     assert grid_campaign.results.to_json() == loop_campaign.results.to_json()
     assert (grid_campaign.timing.simulations
             == loop_campaign.timing.simulations)
@@ -389,49 +337,28 @@ def test_engine_grid_dispatch_falls_back_on_ragged_caches(parity_population):
                     == reference.results.ipcs(policy, workload))
 
 
-def test_engine_ragged_caches_grid_dispatch_intersection(parity_population,
-                                                         monkeypatch):
-    """Ragged pending sets grid-dispatch their shared rows once."""
-    from repro.api.engine import Campaign
-
+def test_engine_ragged_caches_grid_dispatch_intersection(parity_population):
+    """The rows every policy needs plan as one all-policy block."""
     workloads = list(parity_population)
     campaign = _campaign("analytic")
     campaign.run_grid(workloads[:4], ["LRU"])       # LRU partially done
-    calls = []
-    original = Campaign._run_grid_policy_axis
-
-    def spy(self, todo, policies, workers):
-        calls.append((list(todo), list(policies)))
-        return original(self, todo, policies, workers)
-
-    monkeypatch.setattr(Campaign, "_run_grid_policy_axis", spy)
-    campaign.run_grid(workloads, PARITY_POLICIES)
-    # The rows every policy still needs went through one policy-axis
-    # dispatch covering all policies; LRU's cached head leaves a
-    # single-policy remainder, which takes the plain batch path.
-    assert calls == [(workloads[4:], list(PARITY_POLICIES))]
+    simulations = campaign.timing.simulations
+    blocks = campaign._pending_blocks(workloads, PARITY_POLICIES)
+    assert blocks == [(workloads[4:], tuple(PARITY_POLICIES)),
+                      (workloads[:4], ("DIP",))]
+    assert campaign.timing.simulations == simulations     # pure
 
 
-def test_engine_ragged_three_policies_second_grid(parity_population,
-                                                  monkeypatch):
-    """A uniform multi-policy remainder dispatches as a second grid."""
-    from repro.api.engine import Campaign
-
+def test_engine_ragged_three_policies_second_grid(parity_population):
+    """A uniform multi-policy remainder plans as a second block."""
     workloads = list(parity_population)
     policies = ["LRU", "DIP", "DRRIP"]
     campaign = _campaign("analytic")
     campaign.run_grid(workloads[:4], ["LRU"])       # LRU partially done
-    calls = []
-    original = Campaign._run_grid_policy_axis
-
-    def spy(self, todo, policies, workers):
-        calls.append((list(todo), list(policies)))
-        return original(self, todo, policies, workers)
-
-    monkeypatch.setattr(Campaign, "_run_grid_policy_axis", spy)
+    blocks = campaign._pending_blocks(workloads, policies)
+    assert blocks == [(workloads[4:], tuple(policies)),
+                      (workloads[:4], ("DIP", "DRRIP"))]
     campaign.run_grid(workloads, policies)
-    assert calls == [(workloads[4:], policies),
-                     (workloads[:4], ["DIP", "DRRIP"])]
     reference = _campaign("analytic")
     reference.run_grid(workloads, policies)
     for policy in policies:

@@ -37,12 +37,22 @@ def test_builtin_backends_registered():
     assert get_backend("analytic").name == "analytic"
 
 
-def test_batch_capability_flags():
-    from repro.api import backend_supports_batch
+def test_builtin_simulators_offer_their_scoring_contract():
+    """The engine picks a contract from the simulator, not a flag."""
+    def simulator(name):
+        backend = get_backend(name)
+        return backend.make_simulator(
+            2, "LRU", TEST_TRACE_LENGTH,
+            builder=backend.make_builder(TEST_TRACE_LENGTH, 0))
 
-    for name in ("analytic", "badco", "interval"):
-        assert backend_supports_batch(get_backend(name))
-    assert not backend_supports_batch(get_backend("detailed"))
+    assert hasattr(simulator("analytic"), "run_batch_grid")
+    for name in ("badco", "interval"):
+        assert hasattr(simulator(name), "run_batch")
+        assert not hasattr(simulator(name), "run_batch_grid")
+    assert not hasattr(simulator("detailed"), "run_batch")
+    assert not any(hasattr(get_backend(name), flag)
+                   for name in backend_names()
+                   for flag in ("supports_batch", "supports_policy_axis"))
 
 
 def test_backends_construct_their_simulator_family():

@@ -42,8 +42,8 @@ def test_json_roundtrip(tmp_path):
     w = Workload(["mcf", "gcc", "gcc", "povray"])
     results.record("DRRIP", w, [0.1, 0.5, 0.5, 1.4])
     results.record_reference("mcf", 0.2)
-    path = tmp_path / "results.json"
-    results.save(path)
+    path = tmp_path / "results.json"        # a legacy JSON cache file
+    path.write_text(results.to_json())
     loaded = PopulationResults.load(path)
     assert loaded.cores == 4
     assert loaded.simulator == "badco"
@@ -106,7 +106,7 @@ def test_npz_roundtrip_matches_json(tmp_path):
     json_path = tmp_path / "results.json"
     npz_path = tmp_path / "results.npz"
     results.save_npz(npz_path)          # before to_json materialises
-    results.save(json_path)
+    json_path.write_text(results.to_json())
     from_npz = PopulationResults.load_npz(npz_path)
     from_json = PopulationResults.load(json_path)
     # npz loads stay columnar: panels restore as blocks, not dicts

@@ -137,7 +137,12 @@ def _panel(tmp_path, name, policies=("LRU",), seed=0, compressed=False):
         results.record_batch(policy, workloads,
                              rng.random((len(workloads), 2)))
     path = tmp_path / f"{name}.npz"
-    results.save_npz(path, compressed=compressed)
+    results.save_npz(path)
+    if compressed:
+        # As caches written by older releases were: deflated members.
+        with np.load(path) as data:
+            arrays = dict(data)
+        np.savez_compressed(path, **arrays)
     return path
 
 

@@ -1,9 +1,9 @@
 """Two-stage estimation: batch entry points and the screen+refine driver.
 
-Covers the PR's acceptance contract end to end: the event-driven
+Covers the acceptance contract end to end: the event-driven
 simulators' ``run_batch`` must be bit-identical to the per-workload
-``run`` loop for any ``jobs``; ``Session.estimate_two_stage`` must
-report both stages (screen confidence, refine accounting, spliced
+``run`` loop, and the engine's grids to it for any ``jobs``;
+``Session.estimate_two_stage`` must report both stages (screen confidence, refine accounting, spliced
 final estimate) with its own timing phases; and the refine-row ranking
 must always floor-allocate budget to d(w) == 0 cells so the screen
 cannot hide no-signal regions from the refine pass.
@@ -12,7 +12,7 @@ cannot hide no-signal regions from the refine pass.
 import numpy as np
 import pytest
 
-from repro.api import Session, TwoStageEstimate
+from repro.api import Campaign, CampaignConfig, Session, TwoStageEstimate
 from repro.core.workload import Workload
 from repro.sim.badco.multicore import BadcoSimulator
 from repro.sim.batch import batch_from_runs
@@ -24,12 +24,14 @@ TRACE = 3000
 BENCHMARKS = ("bzip2", "gcc", "libquantum", "mcf", "namd", "povray")
 
 
-# ---- run_batch: the parallel batch entry points ----------------------
+# ---- run_batch: the batch entry points ----------------------
 
-@pytest.mark.parametrize("simulator_class",
-                         [BadcoSimulator, IntervalSimulator],
+@pytest.mark.parametrize("simulator_class, backend",
+                         [(BadcoSimulator, "badco"),
+                          (IntervalSimulator, "interval")],
                          ids=["badco", "interval"])
-def test_run_batch_matches_run_loop_and_is_jobs_invariant(simulator_class):
+def test_run_batch_matches_run_loop_and_is_jobs_invariant(simulator_class,
+                                                          backend):
     simulator = simulator_class(cores=2, policy="DIP", trace_length=TRACE)
     workloads = [Workload(pair) for pair in
                  [("gcc", "libquantum"), ("mcf", "milc"),
@@ -37,21 +39,25 @@ def test_run_batch_matches_run_loop_and_is_jobs_invariant(simulator_class):
                   ("libquantum", "libquantum")]]
     reference = batch_from_runs(workloads,
                                 [simulator.run(w) for w in workloads])
-    serial = simulator.run_batch(workloads, jobs=1)
-    parallel = simulator.run_batch(workloads, jobs=3)
-    assert serial.workloads == tuple(workloads)
-    assert parallel.workloads == tuple(workloads)
+    batch = simulator.run_batch(workloads)
+    assert batch.workloads == tuple(workloads)
     # Bit-identical, not merely close: every run builds its own uncore
     # from fixed seeds, so chunking must never change a value.
-    assert np.array_equal(serial.ipcs, reference.ipcs)
-    assert np.array_equal(parallel.ipcs, serial.ipcs)
-    assert serial.instructions == parallel.instructions \
-        == reference.instructions
+    assert np.array_equal(batch.ipcs, reference.ipcs)
+    assert batch.instructions == reference.instructions
+    # The engine's pool chunks the same rows over three workers.
+    for jobs in (1, 3):
+        campaign = Campaign(CampaignConfig(backend=backend, cores=2,
+                                           trace_length=TRACE, jobs=jobs))
+        campaign.run_grid(workloads, ["DIP"])
+        _, matrices = campaign.results.columnar_panel(["DIP"], workloads)
+        assert np.array_equal(matrices["DIP"].values, batch.ipcs)
+        assert campaign.timing.instructions == batch.instructions
 
 
 def test_run_batch_empty_is_well_formed():
     simulator = BadcoSimulator(cores=2, trace_length=TRACE)
-    batch = simulator.run_batch([], jobs=4)
+    batch = simulator.run_batch([])
     assert batch.workloads == ()
     assert batch.ipcs.shape[0] == 0
     assert batch.instructions == 0
