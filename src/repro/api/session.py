@@ -494,14 +494,28 @@ class Session:
         error.
         """
         try:
-            metric_obj = (metric_by_name(metric)
-                          if isinstance(metric, str) else metric)
-            key = (get_backend(backend or "analytic").name, cores, sample,
-                   validate_policy_name(baseline),
-                   validate_policy_name(candidate), metric_obj.name)
+            key, _ = self._delta_key(baseline, candidate, metric, cores,
+                                     sample, backend)
         except (KeyError, ValueError):
             return False
         return key in self._delta_memo
+
+    @staticmethod
+    def _delta_key(baseline: str, candidate: str, metric: MetricLike,
+                   cores: int, sample: Optional[int],
+                   backend: Optional[str]):
+        """The d(w) memo key of one estimate, with its metric object.
+
+        The key is ``(backend, cores, sample, baseline, candidate,
+        metric name)`` with every name validated and canonical; unknown
+        names raise ``KeyError`` / ``ValueError``.
+        """
+        metric_obj = (metric_by_name(metric) if isinstance(metric, str)
+                      else metric)
+        key = (get_backend(backend or "analytic").name, cores, sample,
+               validate_policy_name(baseline),
+               validate_policy_name(candidate), metric_obj.name)
+        return key, metric_obj
 
     def estimate_full_scale(self, baseline: str = "LRU",
                             candidate: str = "DIP", *,
@@ -557,26 +571,17 @@ class Session:
         """
         from repro.core.columnar import delta_column_from_matrices
         from repro.core.delta import DeltaVariable, delta_statistics
-        from repro.core.estimator import ConfidenceEstimator
-        from repro.core.sampling import (
-            SimpleRandomSampling,
-            WorkloadStratification,
-        )
         from repro.core.sampling.workload_strata import DEFAULT_MIN_STRATUM
 
-        metric_obj = (metric_by_name(metric) if isinstance(metric, str)
-                      else metric)
-        baseline = validate_policy_name(baseline)
-        candidate = validate_policy_name(candidate)
-        backend = get_backend(backend or "analytic").name
+        memo_key, metric_obj = self._delta_key(baseline, candidate, metric,
+                                               cores, sample, backend)
+        backend, _, _, baseline, candidate, _ = memo_key
         timings: Dict[str, float] = {}
 
         started = time.perf_counter()
         population = self.population(cores, sample)
         timings["population"] = time.perf_counter() - started
 
-        memo_key = (backend, cores, sample, baseline, candidate,
-                    metric_obj.name)
         memo = self._delta_memo.get(memo_key)
         if memo is not None:
             # Warm hit (the serve daemon's repeat-query hot path): the
@@ -611,19 +616,11 @@ class Session:
         started = time.perf_counter()
         if min_stratum is None:
             min_stratum = max(DEFAULT_MIN_STRATUM, len(population) // 40)
-        stratifier = WorkloadStratification.from_column(
-            delta, min_stratum=min_stratum)
-        if fast_sampling is None:
-            fast_sampling = self.fast_sampling
-        estimator = ConfidenceEstimator(
+        confidence, stratifier, estimator = self._confidence_curves(
             population, delta,
-            draws=draws if draws is not None else self.parameters.draws,
-            fast_sampling=fast_sampling)
-        confidence = {}
-        for method in (SimpleRandomSampling(), stratifier):
-            curve = estimator.curve(method, tuple(sample_sizes),
-                                    seed=self.seed)
-            confidence[method.name] = tuple(curve.confidence)
+            draws if draws is not None else self.parameters.draws,
+            tuple(sample_sizes), min_stratum,
+            self.fast_sampling if fast_sampling is None else fast_sampling)
         timings["confidence"] = time.perf_counter() - started
 
         return FullScaleEstimate(
@@ -845,11 +842,11 @@ class Session:
     def _confidence_curves(self, population, delta, draws: int,
                            sample_sizes: Tuple[int, ...], min_stratum: int,
                            fast_sampling: bool):
-        """Confidence curves for one d(w) column (both stages share it).
+        """Confidence curves for one d(w) column (every estimate's last
+        phase).
 
         Returns ``(confidence, stratifier, estimator)`` where
-        ``confidence`` maps method name to the curve values, exactly as
-        :meth:`estimate_full_scale` reports them.
+        ``confidence`` maps method name to the curve values.
         """
         from repro.core.estimator import ConfidenceEstimator
         from repro.core.sampling import (

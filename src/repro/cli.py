@@ -496,7 +496,8 @@ def _cmd_bench(args) -> int:
 
     from repro.perf import DEFAULT_SAMPLE_SIZE, PROFILES, run_bench, \
         run_e2e_bench, run_pop_bench, run_serve_bench, run_sim_bench, \
-        speedups, write_bench
+        write_bench
+    from repro.report import speedups
 
     overrides = [name for name, value in
                  (("--draws", args.draws), ("--sample-size",

@@ -36,7 +36,6 @@ from repro.core.population import WorkloadPopulation
 from repro.core.sampling.base import (
     SamplingMethod,
     SamplingPlan,
-    has_fast_block,
     has_fast_path,
 )
 from repro.core.sampling.fastpath import fast_generator
@@ -315,7 +314,7 @@ class PairedConfidenceEstimator:
         its own bit-compatible stream.
         """
         if self.fast_sampling and \
-                all(has_fast_block(plans[key]) for key in keys):
+                all(has_fast_path(plans[key]) for key in keys):
             widths = [plans[key].fast_slots(size) for key in keys]
             block = fast_generator(seed, size).random(
                 (self.draws, sum(widths)))

@@ -141,13 +141,11 @@ class SamplingPlan:
         block instead of the MT19937 replay, so for a given seed the
         *specific* rows differ from the default path.  Only reached
         when the estimator was built with ``fast_sampling=True``; plans
-        without an override simply never take the fast path (the
+        without the block pair simply never take the fast path (the
         estimator checks :func:`has_fast_path` first).
 
-        The base implementation draws one ``(draws, fast_slots(size))``
-        uniform block and delegates to :meth:`rows_matrix_fast_block`
-        -- bit-identical, for a given generator state, to the plans'
-        historical single-block ``rows_matrix_fast`` overrides.
+        Draws one ``(draws, fast_slots(size))`` uniform block and
+        delegates to :meth:`rows_matrix_fast_block`.
         """
         slots = self.fast_slots(size)
         if slots is None:
@@ -161,25 +159,10 @@ class SamplingPlan:
 def has_fast_path(plan: Optional[SamplingPlan]) -> bool:
     """Whether ``plan`` implements the fast draw path.
 
-    True when the plan overrides :meth:`SamplingPlan.rows_matrix_fast`
-    directly (legacy style) or supplies the block pair
-    (:meth:`SamplingPlan.fast_slots` +
-    :meth:`SamplingPlan.rows_matrix_fast_block`) the base method
-    composes.
-    """
-    if plan is None:
-        return False
-    cls = type(plan)
-    return (cls.rows_matrix_fast is not SamplingPlan.rows_matrix_fast
-            or has_fast_block(plan))
-
-
-def has_fast_block(plan: Optional[SamplingPlan]) -> bool:
-    """Whether ``plan`` accepts caller-supplied uniform blocks.
-
-    This is the stronger capability ``pair_curves`` needs to stack all
-    pairs' draws into one block: both :meth:`SamplingPlan.fast_slots`
-    and :meth:`SamplingPlan.rows_matrix_fast_block` must be overridden.
+    True when the plan overrides both :meth:`SamplingPlan.fast_slots`
+    and :meth:`SamplingPlan.rows_matrix_fast_block`: the block pair the
+    base :meth:`SamplingPlan.rows_matrix_fast` composes, and that
+    ``pair_curves`` stacks into one uniform block across pairs.
     """
     if plan is None:
         return False

@@ -49,20 +49,13 @@ Results serialise as a list of records::
 
 ``draws`` is 0 for entries that are not Monte-Carlo loops.  Sim and
 store records add ``"backend"`` and, for simulator runs, ``"mips"``.
-The scalar/columnar pairing is by name suffix
-(``estimator-random-scalar`` vs ``estimator-random-columnar``); the sim
-panel pairing is ``sim-panel-badco`` vs ``sim-panel-analytic``; the
-store pairing is ``pop-store-cold`` vs ``pop-store-warm``; the driver
-pairing is ``e2e-8core-cold`` vs ``e2e-8core-warm``; the serve
-pairings are ``serve-query-cold`` / ``serve-oneshot-warm`` (and,
-cross-suite, ``e2e-8core-warm``) vs ``serve-query-warm``.
+Which records pair into a speedup ratio, and which ratios carry a
+floor, is declared once in :data:`repro.report.records.RATIOS`
+(``repro.report.speedups`` derives them).
 
-The analytics suite additionally records the PR-7 sampling paths:
+The analytics suite additionally records two sampling paths:
 ``estimator-workload-strata-fast`` (the opt-in ``fast_sampling=True``
-draw path, paired against ``estimator-workload-strata-columnar``),
-``estimator-workload-strata-kernels-off``/``-on`` (the MT replay with
-the optional compiled scan kernels disabled/enabled -- identical code
-when numba is absent, flagged by ``"kernels_available"``), and
+draw path, paired against ``estimator-workload-strata-columnar``) and
 ``estimator-workload-strata-pairs-loop``/``-pairs`` (per-pair
 estimator loop vs the fig6 pair-batched
 :meth:`~repro.core.estimator.PairedConfidenceEstimator.pair_curves`).
@@ -70,7 +63,6 @@ estimator loop vs the fig6 pair-batched
 
 from __future__ import annotations
 
-import os
 import random
 import tempfile
 import time
@@ -88,8 +80,8 @@ from repro.core.sampling import (
     BenchmarkStratification,
     SimpleRandomSampling,
     WorkloadStratification,
-    _kernels,
 )
+from repro.report.records import bench_run, save_bench
 
 #: The acceptance configuration: 1000 draws, samples of 30 workloads.
 DEFAULT_DRAWS = 1000
@@ -250,30 +242,6 @@ def run_bench(draws: int = DEFAULT_DRAWS,
            _time(lambda: fast_estimator.confidence(
                strata_method, sample_size, seed=seed), repeat),
            draws)
-
-    # --- the compiled scan kernels, off vs on, on the MT replay path.
-    # Identical code when numba is absent (``kernels_available`` says
-    # which case a record measured); the pairing stays meaningful on
-    # the CI leg that installs numba.
-    def _replay(value: Optional[str]) -> float:
-        previous = os.environ.get(_kernels.KERNELS_ENV)
-        try:
-            if value is None:
-                os.environ.pop(_kernels.KERNELS_ENV, None)
-            else:
-                os.environ[_kernels.KERNELS_ENV] = value
-            return _time(lambda: estimator.confidence(
-                strata_method, sample_size, seed=seed), repeat)
-        finally:
-            if previous is None:
-                os.environ.pop(_kernels.KERNELS_ENV, None)
-            else:
-                os.environ[_kernels.KERNELS_ENV] = previous
-
-    for suffix, value in (("off", "0"), ("on", None)):
-        record(f"estimator-workload-strata-kernels-{suffix}",
-               _replay(value), draws)
-        records[-1]["kernels_available"] = _kernels.HAVE_NUMBA
 
     # --- fig6-style pair batching: four policy pairs, one shared row
     # gather (pair_curves) against the per-pair estimator loop.
@@ -584,8 +552,9 @@ def run_serve_bench(profile: str = "smoke",
     coalesce into fewer dispatches than requests.
 
     Returns:
-        Bench records; ``serve-oneshot-warm`` vs ``serve-query-warm``
-        carries the headline serving win, and the concurrent record's
+        Bench records; the headline serving win (``serve-vs-oneshot``)
+        pairs the e2e suite's ``e2e-8core-warm`` against
+        ``serve-query-warm``, and the concurrent record's
         ``dispatch_groups`` / ``coalesced`` extras plus the warm
         record's ``hit_rate`` document the scheduler and LRU at work.
     """
@@ -698,48 +667,6 @@ def run_serve_bench(profile: str = "smoke",
     return records
 
 
-def speedups(records: List[Dict[str, object]]) -> Dict[str, float]:
-    """Wall-clock ratios: scalar/columnar pairs plus the paired suites."""
-    by_name = {str(r["name"]): float(r["seconds"]) for r in records}
-    ratios: Dict[str, float] = {}
-    for name, seconds in by_name.items():
-        if not name.endswith("-scalar"):
-            continue
-        stem = name[:-len("-scalar")]
-        columnar = by_name.get(stem + "-columnar")
-        if columnar:
-            ratios[stem] = seconds / columnar
-    for stem, slow, fast in (("sim-panel", "sim-panel-badco",
-                              "sim-panel-analytic"),
-                             ("sim-batch-parallel",
-                              "sim-batch-parallel-jobs1",
-                              "sim-batch-parallel-jobs2"),
-                             ("pop-store", "pop-store-cold",
-                              "pop-store-warm"),
-                             ("e2e-8core", "e2e-8core-cold",
-                              "e2e-8core-warm"),
-                             ("estimator-workload-strata-fast",
-                              "estimator-workload-strata-columnar",
-                              "estimator-workload-strata-fast"),
-                             ("estimator-workload-strata-pairs",
-                              "estimator-workload-strata-pairs-loop",
-                              "estimator-workload-strata-pairs"),
-                             ("estimator-workload-strata-kernels",
-                              "estimator-workload-strata-kernels-off",
-                              "estimator-workload-strata-kernels-on"),
-                             ("serve-query", "serve-query-cold",
-                              "serve-query-warm"),
-                             ("serve-oneshot", "serve-oneshot-warm",
-                              "serve-query-warm"),
-                             ("serve-vs-oneshot", "e2e-8core-warm",
-                              "serve-query-warm")):
-        numerator = by_name.get(slow)
-        denominator = by_name.get(fast)
-        if numerator and denominator:
-            ratios[stem] = numerator / denominator
-    return ratios
-
-
 def write_bench(path: Path, records: List[Dict[str, object]],
                 profile: Optional[str] = None) -> None:
     """Persist a bench run as a schema-2 trajectory envelope.
@@ -749,7 +676,4 @@ def write_bench(path: Path, records: List[Dict[str, object]],
     derived speedup ratios (see :mod:`repro.report.records`; the
     loader still accepts the historical bare-list shape).
     """
-    # Imported lazily: repro.report imports this module for speedups().
-    from repro.report.records import bench_run, save_bench
-
     save_bench(path, bench_run(records, profile=profile))

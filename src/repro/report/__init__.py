@@ -3,18 +3,18 @@ bench trajectory (``repro report``).
 
 The subsystem splits into four layers:
 
-- :mod:`repro.report.records` -- the versioned run-record schema and
-  typed load/validate of ``BENCH_*.json`` trajectories;
+- :mod:`repro.report.records` -- the versioned run-record schema,
+  typed load/validate of ``BENCH_*.json`` trajectories, and the
+  :data:`RATIOS` table declaring every speedup ratio and its floor;
 - :mod:`repro.report.aggregate` -- suite tables, geomean speedups,
-  the :data:`THRESHOLDS` / :data:`SPEEDUP_FLOORS` single source of
-  truth, and :func:`diff_runs` (the regression gate);
+  the :data:`THRESHOLDS` single source of truth, and
+  :func:`diff_runs` (the regression gate);
 - :mod:`repro.report.store` -- the append-only JSONL run-history
   store behind ``repro report record`` / ``trend``;
 - :mod:`repro.report.render` -- deterministic text/JSON/CSV renderers.
 """
 
 from repro.report.aggregate import (
-    SMOKE_SPEEDUP_FLOORS,
     SPEEDUP_FLOORS,
     THRESHOLDS,
     TRAJECTORY_RECORDS,
@@ -31,6 +31,7 @@ from repro.report.aggregate import (
     threshold_for,
 )
 from repro.report.records import (
+    RATIOS,
     SCHEMA_VERSION,
     BenchRun,
     MachineContext,
@@ -41,6 +42,7 @@ from repro.report.records import (
     load_bench,
     machine_context,
     save_bench,
+    speedups,
     suite_of,
 )
 from repro.report.render import (
@@ -60,8 +62,8 @@ from repro.report.store import (
 )
 
 __all__ = [
+    "RATIOS",
     "SCHEMA_VERSION",
-    "SMOKE_SPEEDUP_FLOORS",
     "SPEEDUP_FLOORS",
     "THRESHOLDS",
     "TRAJECTORY_RECORDS",
@@ -93,6 +95,7 @@ __all__ = [
     "render_run",
     "render_trend",
     "save_bench",
+    "speedups",
     "suite_of",
     "suite_tables",
     "threshold_for",

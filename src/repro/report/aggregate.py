@@ -6,8 +6,10 @@ This is the single source of truth for *what the trajectory promises*:
   the named hot paths.  ``repro report diff`` gates on these, and the
   tier-1 pin in ``tests/test_perf_bench.py`` asserts through the same
   table, so the CI gate and the test can never drift apart.
-- :data:`SPEEDUP_FLOORS` -- the headline speedup ratios every
-  trajectory must clear (the numbers the README quotes).
+- :func:`floors_for` -- the headline speedup ratios a trajectory must
+  clear, read from the floors declared in
+  :data:`repro.report.records.RATIOS` (:data:`SPEEDUP_FLOORS` is the
+  full-profile view).
 - :data:`TRAJECTORY_RECORDS` -- the record names the committed
   reference trajectory must contain.
 
@@ -23,9 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.report.records import BenchRun, RunRecord
+from repro.report.records import RATIOS, BenchRun, RunRecord, suite_of
 
 #: Per-record relative regression thresholds for the named hot paths:
 #: ``(glob pattern, allowed relative slowdown)``.  First match wins.
@@ -38,26 +40,6 @@ THRESHOLDS: Tuple[Tuple[str, float], ...] = (
     ("e2e-8core-warm", 0.50),
     ("serve-query-warm", 0.50),
 )
-
-#: Derived-ratio floors (inclusive: ratio >= floor passes).  These are
-#: the headline claims of the trajectory; they hold at full *and*
-#: smoke profile except where noted.
-SPEEDUP_FLOORS: Dict[str, float] = {
-    "estimator-bench-strata": 2.0,
-    "sim-panel": 10.0,
-    "pop-store": 2.0,
-    "e2e-8core": 2.0,
-    "serve-query": 1.0,
-    "serve-vs-oneshot": 10.0,
-}
-
-#: At smoke scale the one-shot driver is so small that resident state
-#: buys less than 10x, so the cross-suite serve-vs-oneshot headline is
-#: only enforced on full-profile runs.
-SMOKE_SPEEDUP_FLOORS: Dict[str, float] = {
-    stem: floor for stem, floor in SPEEDUP_FLOORS.items()
-    if stem != "serve-vs-oneshot"
-}
 
 #: Record names the committed reference trajectory must contain.
 TRAJECTORY_RECORDS: Tuple[str, ...] = (
@@ -91,10 +73,14 @@ def hot_path_names(names: Iterable[str]) -> List[str]:
 
 
 def floors_for(profile: Optional[str]) -> Dict[str, float]:
-    """The speedup floors a run at ``profile`` must clear."""
-    if profile == "smoke":
-        return dict(SMOKE_SPEEDUP_FLOORS)
-    return dict(SPEEDUP_FLOORS)
+    """The speedup floors (inclusive) a run at ``profile`` must clear."""
+    return {ratio.stem: ratio.floor for ratio in RATIOS
+            if ratio.floor is not None
+            and not (ratio.full_only and profile == "smoke")}
+
+
+#: The full-profile floors.
+SPEEDUP_FLOORS: Dict[str, float] = floors_for("full")
 
 
 def geomean(values: Sequence[float]) -> float:
@@ -135,8 +121,6 @@ def geomean_speedups(run: BenchRun) -> Dict[str, float]:
     Ratios are attributed to the suite of their fast-side record stem
     (``sim-panel`` -> sim); the ``"overall"`` key spans all of them.
     """
-    from repro.report.records import suite_of
-
     by_suite: Dict[str, List[float]] = {}
     for stem, ratio in run.speedups.items():
         if ratio > 0:
@@ -293,8 +277,6 @@ def diff_runs(baseline: BenchRun, candidate: BenchRun,
 
     floor_checks: List[FloorCheck] = []
     missing_ratios: List[str] = []
-    from repro.report.records import suite_of
-
     for stem, floor in sorted(floors_for(candidate.profile).items()):
         ratio = candidate.speedups.get(stem)
         if ratio is None:

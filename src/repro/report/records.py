@@ -8,14 +8,17 @@ consume any trajectory ever written:
 - **schema 1** (historical): a bare JSON list of records --
   ``{"name", "seconds", "draws", "population_size"}`` plus per-suite
   extras (``backend``, ``mips``, counters).  Suite and profile are
-  implicit; speedup ratios are re-derived by
-  :func:`repro.perf.speedups`.
+  implicit; speedup ratios are re-derived by :func:`speedups`.
 - **schema 2** (current, :data:`SCHEMA_VERSION`): an envelope
   ``{"schema", "context", "profile", "speedups", "records"}``.  Every
   record carries its ``suite`` and ``profile`` at write time, the
   envelope captures the machine context the run was measured on (CPU
-  count, Python/NumPy versions, ``kernels_available``, git commit) and
-  the derived speedup ratios, so a trajectory is self-describing.
+  count, Python/NumPy versions, git commit) and the derived speedup
+  ratios, so a trajectory is self-describing.
+
+:data:`RATIOS` declares every derived speedup ratio once -- its slow
+and fast records and, for headline ratios, the floor the regression
+gate enforces (:func:`repro.report.aggregate.floors_for`).
 
 :func:`load_bench` accepts both shapes and always returns a
 :class:`BenchRun`; :func:`save_bench` writes the current schema
@@ -31,7 +34,8 @@ import platform
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.ioutil import atomic_write_text
 
@@ -68,6 +72,68 @@ def suite_of(name: str) -> str:
     return "other"
 
 
+class Ratio(NamedTuple):
+    """One derived speedup: ``seconds(slow) / seconds(fast)``."""
+
+    stem: str
+    slow: str
+    fast: str
+    #: The inclusive floor ``repro report diff`` enforces, or None.
+    floor: Optional[float] = None
+    #: Enforce the floor on full-profile runs only.
+    full_only: bool = False
+
+
+#: Every ratio the bench suites derive, declared once.  ``floor`` marks
+#: the headline claims of the trajectory (the numbers the README
+#: quotes).  At smoke scale the one-shot driver is so small that
+#: resident state buys less than 10x, so serve-vs-oneshot is enforced
+#: on full-profile runs only.
+RATIOS: Tuple[Ratio, ...] = (
+    Ratio("delta-wsu", "delta-wsu-scalar", "delta-wsu-columnar"),
+    Ratio("estimator-random", "estimator-random-scalar",
+          "estimator-random-columnar"),
+    Ratio("estimator-workload-strata", "estimator-workload-strata-scalar",
+          "estimator-workload-strata-columnar"),
+    Ratio("estimator-bench-strata", "estimator-bench-strata-scalar",
+          "estimator-bench-strata-columnar", floor=2.0),
+    Ratio("estimator-workload-strata-fast",
+          "estimator-workload-strata-columnar",
+          "estimator-workload-strata-fast"),
+    Ratio("estimator-workload-strata-pairs",
+          "estimator-workload-strata-pairs-loop",
+          "estimator-workload-strata-pairs"),
+    Ratio("sim-panel", "sim-panel-badco", "sim-panel-analytic", floor=10.0),
+    Ratio("sim-batch-parallel", "sim-batch-parallel-jobs1",
+          "sim-batch-parallel-jobs2"),
+    Ratio("pop-store", "pop-store-cold", "pop-store-warm", floor=2.0),
+    Ratio("e2e-8core", "e2e-8core-cold", "e2e-8core-warm", floor=2.0),
+    Ratio("serve-query", "serve-query-cold", "serve-query-warm", floor=1.0),
+    Ratio("serve-vs-oneshot", "e2e-8core-warm", "serve-query-warm",
+          floor=10.0, full_only=True),
+)
+
+
+def speedups(records: Sequence[Mapping[str, object]]) -> Dict[str, float]:
+    """Wall-clock ratios of the :data:`RATIOS` whose records are present.
+
+    Any other ``<stem>-scalar`` / ``<stem>-columnar`` record pair is
+    paired generically by name suffix.
+    """
+    by_name = {str(r["name"]): float(r["seconds"]) for r in records}
+    pairs = [(name[:-len("-scalar")], name,
+              name[:-len("-scalar")] + "-columnar")
+             for name in by_name if name.endswith("-scalar")]
+    pairs += [(ratio.stem, ratio.slow, ratio.fast) for ratio in RATIOS]
+    ratios: Dict[str, float] = {}
+    for stem, slow, fast in pairs:
+        numerator = by_name.get(slow)
+        denominator = by_name.get(fast)
+        if numerator and denominator:
+            ratios[stem] = numerator / denominator
+    return ratios
+
+
 # ----------------------------------------------------------------------
 # Machine context
 
@@ -78,18 +144,18 @@ class MachineContext:
 
     Every field is optional: schema-1 files have no context at all, and
     a context gathered on a host without git simply omits the commit.
+    Keys this build does not know (older envelopes carried more) are
+    ignored on load.
     """
 
     cpu_count: Optional[int] = None
     python: Optional[str] = None
     numpy: Optional[str] = None
-    kernels_available: Optional[bool] = None
     git_commit: Optional[str] = None
 
     def to_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {}
-        for key in ("cpu_count", "python", "numpy", "kernels_available",
-                    "git_commit"):
+        for key in ("cpu_count", "python", "numpy", "git_commit"):
             value = getattr(self, key)
             if value is not None:
                 payload[key] = value
@@ -101,8 +167,7 @@ class MachineContext:
             raise ReportError(f"context must be an object, got "
                               f"{type(payload).__name__}")
         known = {key: payload.get(key) for key in (
-            "cpu_count", "python", "numpy", "kernels_available",
-            "git_commit")}
+            "cpu_count", "python", "numpy", "git_commit")}
         return cls(**known)           # type: ignore[arg-type]
 
 
@@ -128,13 +193,10 @@ def machine_context() -> MachineContext:
     """Gather the live machine context for a fresh bench run."""
     import numpy
 
-    from repro.core.sampling import _kernels
-
     return MachineContext(
         cpu_count=os.cpu_count(),
         python=platform.python_version(),
         numpy=numpy.__version__,
-        kernels_available=_kernels.HAVE_NUMBA,
         git_commit=_git_commit())
 
 
@@ -147,7 +209,7 @@ class RunRecord:
     """One validated bench measurement.
 
     ``extras`` holds every key the harness recorded beyond the typed
-    ones (scheduler counters, LRU hit rates, kernel flags), as a sorted
+    ones (scheduler counters, LRU hit rates), as a sorted
     tuple of items so records stay hashable and order-canonical.
     """
 
@@ -281,12 +343,6 @@ class BenchRun:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _derive_speedups(records: Sequence[RunRecord]) -> Dict[str, float]:
-    from repro.perf import speedups
-
-    return speedups([record.to_dict() for record in records])
-
-
 def _require_unique_names(records: Sequence[RunRecord],
                           source: str = "run") -> None:
     """Reject duplicate record names (``BenchRun.by_name`` would
@@ -314,7 +370,7 @@ def bench_run(records: Sequence[Mapping[str, object]],
     return BenchRun(records=typed,
                     context=machine_context() if context is None
                     else context,
-                    speedups=_derive_speedups(typed),
+                    speedups=speedups(records),
                     profile=profile)
 
 
@@ -325,7 +381,7 @@ def bench_run_from_payload(payload: object,
         records = [RunRecord.from_dict(record) for record in payload]
         _require_unique_names(records, source=source)
         return BenchRun(records=records, schema=1,
-                        speedups=_derive_speedups(records))
+                        speedups=speedups(payload))
     if isinstance(payload, Mapping):
         schema = payload.get("schema")
         if not isinstance(schema, int) or not 1 <= schema <= SCHEMA_VERSION:
@@ -348,7 +404,7 @@ def bench_run_from_payload(payload: object,
             records=records,
             context=MachineContext.from_dict(payload.get("context", {})),
             speedups=(dict(stored) if stored
-                      else _derive_speedups(records)),
+                      else speedups(raw_records)),
             schema=schema, profile=profile)
     raise ReportError(f"{source}: expected a record list or an envelope, "
                       f"got {type(payload).__name__}")

@@ -115,16 +115,12 @@ def test_floyd_distinct_rejects_oversized_k():
 
 
 def test_all_builtin_plans_advertise_fast_path(small_population):
-    from repro.core.sampling import has_fast_block
-
     delta = _delta(small_population)
     for method in _methods(small_population, delta):
         plan = method.plan(small_population.index, small_population)
         assert has_fast_path(plan), method.name
-        # All built-ins take caller-supplied uniform blocks too (the
-        # stacked pair_curves path), and the base composition is their
-        # rows_matrix_fast: slots wide, one block.
-        assert has_fast_block(plan), method.name
+        # The base composition is every built-in's rows_matrix_fast:
+        # slots wide, one block (the stacked pair_curves path).
         size = 6
         slots = plan.fast_slots(size)
         rows_a, w_a = plan.rows_matrix_fast(size, 30, fast_generator(1, size))
@@ -134,17 +130,6 @@ def test_all_builtin_plans_advertise_fast_path(small_population):
         assert np.array_equal(w_a, w_b), method.name
     assert not has_fast_path(None)
     assert not has_fast_path(SamplingPlan())
-    assert not has_fast_block(None)
-    assert not has_fast_block(SamplingPlan())
-
-    class LegacyFast(SamplingPlan):
-        def rows_matrix_fast(self, size, draws, rng):
-            raise AssertionError("never drawn here")
-
-    # A legacy override alone still advertises the fast path, but not
-    # the block capability pair_curves stacks over.
-    assert has_fast_path(LegacyFast())
-    assert not has_fast_block(LegacyFast())
 
 
 def test_stratified_fast_preserves_layout_and_weights(small_population):

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.report import (
+    RATIOS,
     SCHEMA_VERSION,
     SPEEDUP_FLOORS,
     THRESHOLDS,
@@ -37,6 +38,7 @@ from repro.report import (
     render_run,
     render_trend,
     save_bench,
+    speedups,
     suite_of,
     threshold_for,
     trend_series,
@@ -150,11 +152,43 @@ def test_load_bench_rejects_garbage(tmp_path):
         load_bench(tmp_path / "missing.json")
 
 
+def test_legacy_envelope_with_kernel_flags_loads_and_diffs_clean():
+    """Envelopes written while the replay had an optional compiled
+    layer carry a ``kernels_available`` flag in the context and on
+    some records; they still load, and diff clean against themselves.
+    """
+    payload = {
+        "schema": 2,
+        "profile": "full",
+        "context": {"cpu_count": 1, "python": "3.11.7",
+                    "kernels_available": False},
+        "records": [_record(name, seconds)
+                    for name, seconds in FIXTURE_SECONDS.items()]
+        + [_record("estimator-workload-strata-kernels-on", 0.02,
+                   kernels_available=False)],
+    }
+    run = bench_run_from_payload(payload)
+    assert run.context == MachineContext(cpu_count=1, python="3.11.7")
+    record = run.by_name["estimator-workload-strata-kernels-on"]
+    assert record.extra("kernels_available") is False
+    assert diff_runs(run, run).ok
+
+
+def test_every_declared_ratio_is_in_the_committed_trajectory():
+    """A mistyped RATIOS entry would silently never derive."""
+    payload = json.loads(TRAJECTORY.read_text())
+    names = {record["name"] for record in payload["records"]}
+    for ratio in RATIOS:
+        assert {ratio.slow, ratio.fast} <= names, ratio
+    assert set(speedups(payload["records"])) == \
+        {ratio.stem for ratio in RATIOS}
+    assert set(payload["speedups"]) == {ratio.stem for ratio in RATIOS}
+
+
 def test_machine_context_round_trips():
     context = machine_context()
     assert context.cpu_count >= 1
     assert context.python and context.numpy
-    assert context.kernels_available in (True, False)
     assert MachineContext.from_dict(context.to_dict()) == context
 
 
@@ -223,7 +257,7 @@ def test_threshold_boundary_is_exclusive(slowdown):
     threshold = threshold_for("serve-query-warm")
     assert entry.threshold == threshold
     assert entry.regressed == (entry.relative > threshold)
-    # serve-query-warm is the denominator of three paired ratios, so
+    # serve-query-warm is the denominator of two paired ratios, so
     # slowing it can only trip the gate through its own threshold or
     # the serve floors -- regressions must agree with the entry.
     assert (entry in diff.regressions) == entry.regressed
