@@ -29,8 +29,8 @@ Quickstart::
                           backend="badco")
     print(study.inverse_cv, study.guideline())
 
-The pre-registry spellings (``ExperimentContext``,
-``SimulationCampaign``) remain importable as thin shims.
+The pre-registry ``ExperimentContext`` spelling remains importable as
+a thin shim.
 """
 
 from repro.core import (
@@ -73,7 +73,6 @@ from repro.sim import (
     IntervalProfileBuilder,
     IntervalSimulator,
     PopulationResults,
-    SimulationCampaign,
 )
 from repro.api import (
     BACKENDS,
@@ -116,7 +115,7 @@ __all__ = [
     # sim
     "DetailedSimulator", "BadcoSimulator", "BadcoModelBuilder",
     "IntervalSimulator", "IntervalProfileBuilder",
-    "PopulationResults", "SimulationCampaign",
+    "PopulationResults",
     # experiments
     "ExperimentContext", "Scale", "POLICY_PAIRS",
 ]

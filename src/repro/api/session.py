@@ -569,6 +569,21 @@ class Session:
         Returns:
             A :class:`FullScaleEstimate` report.
         """
+        return self._screen(baseline, candidate, metric, cores, sample,
+                            draws, sample_sizes, min_stratum, backend,
+                            fast_sampling)[0]
+
+    def _screen(self, baseline: str, candidate: str, metric: MetricLike,
+                cores: int, sample: Optional[int], draws: Optional[int],
+                sample_sizes: Sequence[int], min_stratum: Optional[int],
+                backend: Optional[str], fast_sampling: Optional[bool]):
+        """The full-frame estimate shared by both estimators.
+
+        Returns:
+            ``(estimate, population, delta, min_stratum)``: the
+            :class:`FullScaleEstimate`, the frame, its d(w) column and
+            the resolved stratum floor.
+        """
         from repro.core.columnar import delta_column_from_matrices
         from repro.core.delta import DeltaVariable, delta_statistics
         from repro.core.sampling.workload_strata import DEFAULT_MIN_STRATUM
@@ -623,7 +638,7 @@ class Session:
             self.fast_sampling if fast_sampling is None else fast_sampling)
         timings["confidence"] = time.perf_counter() - started
 
-        return FullScaleEstimate(
+        estimate = FullScaleEstimate(
             baseline=baseline, candidate=candidate, metric=metric_obj.name,
             backend=backend, cores=cores,
             population_size=len(population),
@@ -634,6 +649,7 @@ class Session:
             sample_sizes=tuple(sample_sizes),
             fast_sampling=estimator.fast_sampling, confidence=confidence,
             training_runs=training_runs, timings=timings)
+        return estimate, population, delta, min_stratum
 
     def estimate_two_stage(self, baseline: str = "LRU",
                            candidate: str = "DIP", *,
@@ -652,7 +668,8 @@ class Session:
         """Analytic screening plus a budgeted event-driven refine pass.
 
         Stage 1 scores the whole frame with the cheap screening backend
-        (exactly :meth:`estimate_full_scale`); stage 2 spends a
+        (the very code of :meth:`estimate_full_scale`, d(w) memo
+        included); stage 2 spends a
         simulation budget re-scoring the rows the screen says matter
         most on an event-driven backend, splices the refined d(w) back
         into the column, and re-estimates.  Row selection ranks by
@@ -686,12 +703,8 @@ class Session:
         """
         import numpy as np
 
-        from repro.core.columnar import (
-            DeltaColumn,
-            delta_column_from_matrices,
-        )
+        from repro.core.columnar import DeltaColumn
         from repro.core.delta import DeltaVariable, delta_statistics
-        from repro.core.sampling.workload_strata import DEFAULT_MIN_STRATUM
 
         if (refine_budget is None) == (refine_frac is None):
             raise ValueError(
@@ -702,47 +715,20 @@ class Session:
             raise ValueError("refine_budget must be >= 1")
         metric_obj = (metric_by_name(metric) if isinstance(metric, str)
                       else metric)
-        baseline = validate_policy_name(baseline)
-        candidate = validate_policy_name(candidate)
-        screen_backend = get_backend(screen_backend).name
         refine_backend = get_backend(refine_backend).name
         if draws is None:
             draws = self.parameters.draws
         if fast_sampling is None:
             fast_sampling = self.fast_sampling
-        timings: Dict[str, float] = {}
 
-        started = time.perf_counter()
-        population = self.population(cores, sample)
+        # ---- stage 1: the full-scale estimate over the whole frame ----
+        screen, population, screen_delta, min_stratum = self._screen(
+            baseline, candidate, metric_obj, cores, sample, draws,
+            sample_sizes, min_stratum, screen_backend, fast_sampling)
+        baseline, candidate = screen.baseline, screen.candidate
         frame = list(population)
-        timings["population"] = time.perf_counter() - started
-
-        # ---- stage 1: analytic screen over the full frame ------------
-        screen_builder = self.builder(screen_backend)
-        runs_before = self._builder_runs(screen_builder)
-        started = time.perf_counter()
-        screen_results = self.results(screen_backend, cores,
-                                      policies=[baseline, candidate],
-                                      workloads=frame)
-        timings["screen-panels"] = time.perf_counter() - started
-        screen_runs = self._builder_runs(screen_builder) - runs_before
-
-        started = time.perf_counter()
-        index, matrices = screen_results.columnar_panel(
-            [baseline, candidate], population)
-        screen_variable = DeltaVariable(metric_obj, screen_results.reference)
-        screen_delta = delta_column_from_matrices(
-            screen_variable, matrices[baseline], matrices[candidate])
-        screen_statistics = delta_statistics(screen_delta.values)
-        timings["screen-delta"] = time.perf_counter() - started
-
-        if min_stratum is None:
-            min_stratum = max(DEFAULT_MIN_STRATUM, len(population) // 40)
-        started = time.perf_counter()
-        screen_confidence = self._confidence_curves(
-            population, screen_delta, draws, tuple(sample_sizes),
-            min_stratum, fast_sampling)[0]
-        timings["screen-confidence"] = time.perf_counter() - started
+        timings = {(phase if phase == "population" else f"screen-{phase}"):
+                   seconds for phase, seconds in screen.timings.items()}
 
         # ---- rank: screening signal + no-signal floor allocation -----
         started = time.perf_counter()
@@ -774,7 +760,7 @@ class Session:
         screened_values = screen_delta.values[rows]
         spliced = screen_delta.values.copy()
         spliced[rows] = refined_values
-        delta = DeltaColumn(index, spliced)
+        delta = DeltaColumn(screen_delta.index, spliced)
         statistics = delta_statistics(spliced)
         confidence, stratifier, estimator = self._confidence_curves(
             population, delta, draws, tuple(sample_sizes), min_stratum,
@@ -784,7 +770,7 @@ class Session:
         shifts = np.abs(refined_values - screened_values)
         return TwoStageEstimate(
             baseline=baseline, candidate=candidate, metric=metric_obj.name,
-            backend=screen_backend, cores=cores,
+            backend=screen.backend, cores=cores,
             population_size=len(population),
             true_population_size=population.true_size,
             sampled=not population.is_exhaustive,
@@ -792,11 +778,11 @@ class Session:
             inverse_cv=statistics.inverse_cv,
             sample_sizes=tuple(sample_sizes),
             fast_sampling=estimator.fast_sampling, confidence=confidence,
-            training_runs=screen_runs, timings=timings,
+            training_runs=screen.training_runs, timings=timings,
             refine_backend=refine_backend, refine_budget=budget,
             refined=len(selected), floor_allocated=floor_count,
-            screen_inverse_cv=screen_statistics.inverse_cv,
-            screen_confidence=screen_confidence,
+            screen_inverse_cv=screen.inverse_cv,
+            screen_confidence=screen.confidence,
             refine_training_runs=refine_runs,
             max_shift=float(shifts.max()) if len(shifts) else 0.0,
             mean_shift=float(shifts.mean()) if len(shifts) else 0.0,

@@ -34,6 +34,12 @@ from typing import IO, Any, Dict, Optional
 from repro.api.session import FullScaleEstimate, TwoStageEstimate
 
 
+#: Longest request frame the daemon reads, newline included.  Requests
+#: are small parameter objects; responses (a ``panel`` with
+#: ``include_ipcs`` runs to megabytes) are read without a limit.
+MAX_REQUEST_BYTES = 1 << 20
+
+
 class ProtocolError(ValueError):
     """A malformed frame or an unserialisable payload."""
 
@@ -61,11 +67,20 @@ def decode_line(line: bytes) -> Dict[str, Any]:
     return message
 
 
-def read_message(stream: IO[bytes]) -> Optional[Dict[str, Any]]:
-    """The next frame from a socket file, or None on a clean EOF."""
-    line = stream.readline()
+def read_message(stream: IO[bytes],
+                 limit: int = -1) -> Optional[Dict[str, Any]]:
+    """The next frame from a socket file, or None on a clean EOF.
+
+    Args:
+        stream: the socket file to read.
+        limit: the longest frame accepted, in bytes (``-1``: no limit).
+            A longer line raises :class:`ProtocolError`.
+    """
+    line = stream.readline(limit)
     if not line:
         return None
+    if len(line) == limit and not line.endswith(b"\n"):
+        raise ProtocolError(f"frame exceeds {limit} bytes")
     return decode_line(line)
 
 

@@ -28,10 +28,10 @@ the resident hot path pays only the confidence math and the wire.
 Locking: the leader holds the session's lock (see
 :meth:`~repro.serve.state.ResidentState.session_lock`) for the panel
 phase -- simulation, reference IPCs, the dirty-gated save.  Ops that
-mutate session state beyond panels (``study`` materialises dict views,
+may simulate outside that phase (``study`` runs its grid,
 ``estimate_two_stage`` runs a refine campaign) execute entirely under
-that lock; warm ``estimate`` math reads immutable panel blocks and
-runs lock-free.
+that lock; warm ``estimate`` math reads append-only panel blocks, which
+no read rewrites, and runs lock-free.
 """
 
 from __future__ import annotations

@@ -1,22 +1,19 @@
-"""Per-(policy, workload) IPC storage, mapping- and column-oriented.
+"""Per-(policy, workload) IPC storage as append-only row blocks.
 
 A :class:`PopulationResults` holds everything the statistics layer
 needs about one simulation campaign: per-core IPCs for every workload
 under every policy, plus single-thread reference IPCs for the speedup
 metrics.
 
-Two write paths feed it:
-
-- :meth:`PopulationResults.record` -- one workload at a time, the
-  event-driven simulators' path (a ``Mapping[Workload, List[float]]``
-  per policy);
-- :meth:`PopulationResults.record_batch` -- whole N x K panels from
-  batch-capable backends.  Batches are kept *columnar* (workload tuple
-  + float64 matrix blocks); :meth:`columnar_panel` serves them straight
-  to :class:`~repro.core.columnar.IpcMatrix` consumers without ever
-  building the per-workload dict, which is what makes 10^6-workload
-  panels practical.  Legacy dict reads (:meth:`ipc_table`,
-  :meth:`to_json`) materialise the blocks on first use.
+One write path feeds it: :meth:`PopulationResults.record_batch` appends
+a whole N x K panel (workload tuple + float64 matrix) as one block, and
+a per-policy workload -> (block, row) map finds any row.  Blocks are
+never rewritten.  :meth:`columnar_panel` serves them straight to
+:class:`~repro.core.columnar.IpcMatrix` consumers (a single block in
+row order is served as is, with zero copies), which is what makes
+10^6-workload panels practical.  The mapping reads (:meth:`ipcs`,
+:meth:`ipc_table`, :meth:`to_json`) are conversions: each builds new
+Python objects from the blocks and leaves the store as it was.
 
 Persistence is one NumPy ``.npz`` per campaign (:meth:`save_npz`/
 :meth:`load_npz`), which loads panels as matrices directly -- no JSON
@@ -30,8 +27,9 @@ and rewrite as npz.
 from __future__ import annotations
 
 import json
+import zlib
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,30 +54,18 @@ class PopulationResults:
     def __init__(self, cores: int, simulator: str) -> None:
         self.cores = cores
         self.simulator = simulator
-        self._ipcs: Dict[str, Dict[Workload, IpcVector]] = {}
+        #: Per policy: the recorded blocks, in arrival order.
         self._blocks: Dict[str, List[_Block]] = {}
-        #: Per policy: workload -> (block number, row) for streamed data.
+        #: Per policy: workload -> (block number, row).
         self._block_rows: Dict[str, Dict[Workload, Tuple[int, int]]] = {}
         self.reference: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Writing
 
-    def record(self, policy: str, workload: Workload,
-               ipcs: Sequence[float]) -> None:
-        if len(ipcs) != workload.k:
-            raise ValueError(
-                f"{workload}: expected {workload.k} IPCs, got {len(ipcs)}")
-        if workload in self._block_rows.get(policy, ()):
-            # Overwriting a streamed row: fold the blocks into the dict
-            # first so last-write-wins holds (a later _materialize must
-            # not revert this record to the stale block value).
-            self._materialize(policy)
-        self._ipcs.setdefault(policy, {})[workload] = list(ipcs)
-
     def record_batch(self, policy: str, workloads: Sequence[Workload],
                      ipcs: np.ndarray) -> None:
-        """Stream one batch panel in, without a per-workload round trip.
+        """Append one panel as a block, without a per-workload round trip.
 
         Args:
             policy: the policy the panel was simulated under.
@@ -92,15 +78,15 @@ class PopulationResults:
             raise ValueError(
                 f"expected a {len(workloads)} x {self.cores} panel, "
                 f"got {ipcs.shape}")
-        rows = self._block_rows.setdefault(policy, {})
-        table = self._ipcs.get(policy, {})
+        known = self._block_rows.get(policy, {})
         for workload in workloads:
             if workload.k != self.cores:
                 raise ValueError(
                     f"{workload}: occupies {workload.k} cores, "
                     f"expected {self.cores}")
-            if workload in rows or workload in table:
+            if workload in known:
                 raise ValueError(f"{policy}: {workload} already recorded")
+        rows = self._block_rows.setdefault(policy, {})
         blocks = self._blocks.setdefault(policy, [])
         block_number = len(blocks)
         blocks.append((workloads, ipcs))
@@ -113,76 +99,50 @@ class PopulationResults:
     # ------------------------------------------------------------------
     # Reading
 
-    def _materialize(self, policy: str) -> Dict[Workload, IpcVector]:
-        """Fold a policy's streamed blocks into the legacy dict view."""
-        blocks = self._blocks.pop(policy, None)
-        table = self._ipcs.setdefault(policy, {})
-        if blocks:
-            for workloads, matrix in blocks:
-                values = matrix.tolist()
-                for workload, row in zip(workloads, values):
-                    table[workload] = row
-            self._block_rows.pop(policy, None)
-        return table
+    def _common(self, policies: Sequence[str]) -> List[Workload]:
+        sets = [set(self._block_rows[p]) for p in policies]
+        return sorted(set.intersection(*sets)) if sets else []
 
     @property
     def policies(self) -> List[str]:
-        return sorted(set(self._ipcs) | set(self._blocks))
-
-    def _keys(self, policy: str) -> set:
-        keys = set(self._ipcs.get(policy, ()))
-        keys.update(self._block_rows.get(policy, ()))
-        return keys
+        return sorted(self._blocks)
 
     def workloads(self, policy: str) -> List[Workload]:
-        if policy not in self._ipcs and policy not in self._blocks:
-            raise KeyError(policy)
-        return sorted(self._keys(policy))
+        return sorted(self._block_rows[policy])
 
     def common_workloads(self) -> List[Workload]:
         """Workloads simulated under *every* recorded policy."""
-        sets = [self._keys(policy) for policy in self.policies]
-        if not sets:
-            return []
-        common = set.intersection(*sets)
-        return sorted(common)
+        return self._common(self.policies)
 
     def ipcs(self, policy: str, workload: Workload) -> IpcVector:
-        table = self._ipcs.get(policy)
-        if table is not None and workload in table:
-            return table[workload]
-        entry = self._block_rows.get(policy, {}).get(workload)
-        if entry is None:
-            if policy not in self._ipcs and policy not in self._blocks:
-                raise KeyError(policy)
-            raise KeyError(workload)
-        block, row = entry
+        block, row = self._block_rows[policy][workload]
         return self._blocks[policy][block][1][row].tolist()
 
-    def ipc_table(self, policy: str) -> Mapping[Workload, IpcVector]:
-        """The full per-workload IPC table of one policy.
+    def ipc_table(self, policy: str) -> Dict[Workload, IpcVector]:
+        """A new per-workload IPC dict of one policy, in record order.
 
-        Materialises streamed batches into the dict view; array
-        consumers should prefer :meth:`columnar_panel`, which serves
-        batch blocks without this conversion.
+        A conversion, built afresh on each call; array consumers should
+        prefer :meth:`columnar_panel`, which serves the blocks as they
+        are.
         """
-        if policy not in self._ipcs and policy not in self._blocks:
-            raise KeyError(policy)
-        return self._materialize(policy)
+        return dict(self._iter_rows(policy))
 
     def has(self, policy: str, workload: Workload) -> bool:
-        return (workload in self._ipcs.get(policy, ())
-                or workload in self._block_rows.get(policy, ()))
+        return workload in self._block_rows.get(policy, ())
 
-    def _policy_matrix(self, policy: str, index) -> Optional[np.ndarray]:
-        """The policy's panel aligned to ``index`` rows, block-only.
+    @property
+    def nbytes(self) -> int:
+        """Virtual bytes of the IPC blocks plus the reference table.
 
-        Returns None when the policy has per-workload dict entries
-        (mixed or legacy storage) -- the caller then takes the
-        validating mapping path.
+        Memory-mapped blocks count their mapped size, not the pages
+        actually resident.
         """
-        if self._ipcs.get(policy) or policy not in self._blocks:
-            return None
+        return (sum(int(matrix.nbytes) for blocks in self._blocks.values()
+                    for _, matrix in blocks)
+                + 8 * len(self.reference))
+
+    def _policy_matrix(self, policy: str, index) -> np.ndarray:
+        """The policy's panel aligned to ``index`` rows."""
         rows = self._block_rows[policy]
         missing = sum(1 for w in index.workloads if w not in rows)
         if missing:
@@ -208,9 +168,8 @@ class PopulationResults:
 
         One validated conversion feeding every downstream array
         computation (deltas, studies, estimators), instead of each
-        consumer re-walking the mapping tables.  Policies recorded via
-        :meth:`record_batch` skip the mapping entirely: their blocks
-        are served as matrices directly.
+        consumer re-walking per-workload tables: the blocks are served
+        as matrices directly.
 
         Args:
             policies: policies to include (default: all recorded).
@@ -229,40 +188,25 @@ class PopulationResults:
 
         chosen = list(policies) if policies is not None else self.policies
         if workloads is None:
-            tables = [self._keys(p) for p in chosen]
-            workloads = sorted(set.intersection(*tables)) if tables else []
+            workloads = self._common(chosen)
         if hasattr(workloads, "code_matrix"):    # a WorkloadPopulation
             index = workloads.index
         else:
             index = WorkloadIndex(tuple(workloads))
-        matrices = {}
-        for policy in chosen:
-            panel = self._policy_matrix(policy, index)
-            if panel is not None:
-                matrices[policy] = IpcMatrix(index, panel)
-            else:
-                matrices[policy] = IpcMatrix.from_table(
-                    index, self.ipc_table(policy), label=policy)
+        matrices = {policy: IpcMatrix(index,
+                                      self._policy_matrix(policy, index))
+                    for policy in chosen}
         return index, matrices
 
     def __len__(self) -> int:
-        return (sum(len(t) for t in self._ipcs.values())
-                + sum(len(r) for r in self._block_rows.values()))
+        return sum(len(rows) for rows in self._block_rows.values())
 
     # ------------------------------------------------------------------
     # Persistence
 
     def _iter_rows(self, policy: str):
-        """(workload, ipcs-list) pairs, dict entries then block rows.
-
-        Same order :meth:`_materialize` would produce, but without
-        collapsing the blocks -- serialisation must not destroy the
-        columnar fast path.
-        """
-        table = self._ipcs.get(policy)
-        if table:
-            yield from table.items()
-        for workloads, matrix in self._blocks.get(policy, ()):
+        """(workload, ipcs-list) pairs of one policy, in record order."""
+        for workloads, matrix in self._blocks[policy]:
             yield from zip(workloads, matrix.tolist())
 
     def to_json(self) -> str:
@@ -279,12 +223,15 @@ class PopulationResults:
 
     @staticmethod
     def from_json(text: str) -> "PopulationResults":
+        """Inverse of :meth:`to_json`: one block per non-empty policy."""
         payload = json.loads(text)
         results = PopulationResults(payload["cores"], payload["simulator"])
         results.reference = dict(payload["reference"])
         for policy, table in payload["ipcs"].items():
-            for key, ipcs in table.items():
-                results.record(policy, Workload.from_key(key), ipcs)
+            if table:
+                results.record_batch(
+                    policy, [Workload.from_key(key) for key in table],
+                    list(table.values()))
         return results
 
     @staticmethod
@@ -315,22 +262,10 @@ class PopulationResults:
             "policy_names": np.array(self.policies, dtype=str),
         }
         for number, policy in enumerate(self.policies):
-            if policy in self._blocks and not self._ipcs.get(policy):
-                blocks = self._blocks[policy]
-                keys = [w.key() for workloads, _ in blocks
-                        for w in workloads]
-                panel = (blocks[0][1] if len(blocks) == 1 else
-                         np.concatenate([m for _, m in blocks], axis=0))
-            else:
-                # Mixed or dict-only storage: emit rows in the same
-                # order to_json does, so a reloaded population
-                # serialises byte-identically to this one (the
-                # engine's jobs/cache bit-identity contract).
-                rows = list(self._iter_rows(policy))
-                keys = [w.key() for w, _ in rows]
-                panel = np.array([v for _, v in rows],
-                                 dtype=np.float64)
-                panel = panel.reshape(len(rows), self.cores)
+            blocks = self._blocks[policy]
+            keys = [w.key() for workloads, _ in blocks for w in workloads]
+            panel = (blocks[0][1] if len(blocks) == 1 else
+                     np.concatenate([m for _, m in blocks], axis=0))
             arrays[f"workloads_{number}"] = np.array(keys, dtype=str)
             arrays[f"ipcs_{number}"] = panel
         with atomic_open(path, "wb") as handle:
@@ -397,10 +332,13 @@ def _mmap_npz_members(path: Path, prefix: str) -> Dict[str, np.ndarray]:
     central directory's), parse the npy header right behind it, and
     :class:`numpy.memmap` the payload at the resulting offset.
 
-    Members that are compressed, object-typed, or oddly shaped are
-    simply skipped (the caller falls back to the eager ``np.load``
-    read), as is the whole archive on any parse error -- mmap is a fast
-    path, never a correctness dependency.
+    Each member's bytes are first checked against the CRC-32 of the zip
+    directory (read through the file, never through the map), so a
+    flipped bit is not served.  Members that fail that check, are
+    compressed, object-typed, or oddly shaped are simply skipped (the
+    caller falls back to the eager ``np.load`` read, which raises on a
+    bad CRC), as is the whole archive on any parse error -- mmap is a
+    fast path, never a correctness dependency.
     """
     import zipfile
 
@@ -422,8 +360,10 @@ def _mmap_npz_members(path: Path, prefix: str) -> Dict[str, np.ndarray]:
                     continue
                 name_length = int.from_bytes(header[26:28], "little")
                 extra_length = int.from_bytes(header[28:30], "little")
-                raw.seek(info.header_offset + 30 + name_length
-                         + extra_length)
+                start = info.header_offset + 30 + name_length + extra_length
+                if _stored_crc32(raw, start, info.compress_size) != info.CRC:
+                    continue
+                raw.seek(start)
                 version = npy_format.read_magic(raw)
                 if version == (1, 0):
                     shape, fortran, dtype = \
@@ -441,3 +381,20 @@ def _mmap_npz_members(path: Path, prefix: str) -> Dict[str, np.ndarray]:
     except (OSError, ValueError, zipfile.BadZipFile):
         return {}
     return members
+
+
+#: Read size of the CRC check: bounds its memory on large panels.
+_CRC_CHUNK_BYTES = 1 << 20
+
+
+def _stored_crc32(raw, start: int, size: int) -> int:
+    """CRC-32 of ``size`` bytes of ``raw`` from ``start``, chunk by chunk."""
+    raw.seek(start)
+    crc = 0
+    while size > 0:
+        chunk = raw.read(min(size, _CRC_CHUNK_BYTES))
+        if not chunk:
+            break
+        crc = zlib.crc32(chunk, crc)
+        size -= len(chunk)
+    return crc

@@ -359,20 +359,3 @@ def test_simulation_is_reproducible_across_processes():
             capture_output=True, text=True).stdout
         ipcs.append(json.loads(output))
     assert ipcs[0] == ipcs[1]
-
-
-# ----------------------------------------------------------------------
-# Legacy shim
-
-
-def test_simulation_campaign_shim_warns_and_works():
-    from repro.sim.runner import SimulationCampaign
-
-    with pytest.warns(DeprecationWarning):
-        campaign = SimulationCampaign("badco", 2,
-                                      trace_length=TEST_TRACE_LENGTH)
-    assert isinstance(campaign, Campaign)
-    assert campaign.simulator == "badco"
-    assert campaign.trace_length == TEST_TRACE_LENGTH
-    with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-        SimulationCampaign("zesto", 2)

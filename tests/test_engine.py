@@ -227,8 +227,8 @@ def test_corrupt_npz_cache_is_a_logged_miss(tmp_path, caplog, corrupt):
     _corrupt_then_recompute(_config(cache_dir=tmp_path), corrupt, caplog)
 
 
-@pytest.mark.parametrize("corrupt", [_truncate, _not_a_zip],
-                         ids=["truncated", "not-a-zip"])
+@pytest.mark.parametrize("corrupt", [_truncate, _flip_ipcs_bit, _not_a_zip],
+                         ids=["truncated", "bit-flipped", "not-a-zip"])
 def test_corrupt_npz_through_the_panel_cache_is_a_logged_miss(
         tmp_path, caplog, corrupt):
     _corrupt_then_recompute(_config(cache_dir=tmp_path), corrupt, caplog,

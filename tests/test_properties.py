@@ -49,8 +49,17 @@ def test_hmean_never_exceeds_amean(values):
     assert hmean <= amean + 1e-9
 
 
-@given(st.lists(st.floats(min_value=-5, max_value=5), min_size=2,
-                max_size=50),
+#: d(w) values whose scaled products and squared deviations stay
+#: normal floats: 0 or |v| >= 1e-100.  Below that the test's own
+#: arithmetic underflows -- 5e-324 * 0.5 rounds to 0 and turns a cv of
+#: 0 into inf, and the squares of deviations near 1e-160 go subnormal
+#: and lose digits (cv off by 0.6% at scale 0.1) -- a fault of the
+#: test, not of cv.
+_SCALABLE = st.floats(min_value=-5, max_value=5).filter(
+    lambda v: v == 0 or abs(v) >= 1e-100)
+
+
+@given(st.lists(_SCALABLE, min_size=2, max_size=50),
        st.floats(min_value=0.1, max_value=3.0))
 def test_delta_statistics_scale_invariance(values, scale):
     """cv is invariant under positive scaling of d(w)."""

@@ -1,4 +1,4 @@
-"""PopulationResults storage and SimulationCampaign memoisation."""
+"""PopulationResults storage and Campaign memoisation."""
 
 import json
 
@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.workload import Workload
+from repro.api import Campaign, CampaignConfig
 from repro.sim.results import PopulationResults
-from repro.sim.runner import SimulationCampaign
 
 from tests.conftest import TEST_TRACE_LENGTH
 
@@ -15,7 +15,7 @@ from tests.conftest import TEST_TRACE_LENGTH
 def test_record_and_read():
     results = PopulationResults(2, "detailed")
     w = Workload(["a", "b"])
-    results.record("LRU", w, [1.0, 2.0])
+    results.record_batch("LRU", [w], [[1.0, 2.0]])
     assert results.ipcs("LRU", w) == [1.0, 2.0]
     assert results.policies == ["LRU"]
     assert results.has("LRU", w)
@@ -25,22 +25,24 @@ def test_record_and_read():
 def test_arity_validated():
     results = PopulationResults(2, "detailed")
     with pytest.raises(ValueError):
-        results.record("LRU", Workload(["a", "b"]), [1.0])
+        results.record_batch("LRU", [Workload(["a", "b"])], [[1.0]])
+    with pytest.raises(ValueError):          # a 3-core workload
+        results.record_batch("LRU", [Workload(["a", "b", "c"])],
+                             [[1.0, 2.0]])
 
 
 def test_common_workloads():
     results = PopulationResults(2, "x")
     w1, w2 = Workload(["a", "a"]), Workload(["a", "b"])
-    results.record("LRU", w1, [1, 1])
-    results.record("LRU", w2, [1, 1])
-    results.record("DIP", w1, [1, 1])
+    results.record_batch("LRU", [w1, w2], [[1, 1], [1, 1]])
+    results.record_batch("DIP", [w1], [[1, 1]])
     assert results.common_workloads() == [w1]
 
 
 def test_json_roundtrip(tmp_path):
     results = PopulationResults(4, "badco")
     w = Workload(["mcf", "gcc", "gcc", "povray"])
-    results.record("DRRIP", w, [0.1, 0.5, 0.5, 1.4])
+    results.record_batch("DRRIP", [w], [[0.1, 0.5, 0.5, 1.4]])
     results.record_reference("mcf", 0.2)
     path = tmp_path / "results.json"        # a legacy JSON cache file
     path.write_text(results.to_json())
@@ -52,13 +54,13 @@ def test_json_roundtrip(tmp_path):
 
 
 def _batchful_results():
-    """Results mixing streamed batches and per-workload records."""
+    """Results holding one policy in two blocks and one in one block."""
     results = PopulationResults(2, "analytic")
     w1, w2, w3 = (Workload(["a", "a"]), Workload(["a", "b"]),
                   Workload(["b", "b"]))
     results.record_batch("LRU", [w1, w2], np.array([[1.0, 2.0], [3.0, 4.0]]))
     results.record_batch("LRU", [w3], np.array([[5.0, 6.0]]))
-    results.record("DIP", w1, [0.5, 0.25])
+    results.record_batch("DIP", [w1], np.array([[0.5, 0.25]]))
     results.record_reference("a", 1.5)
     return results, (w1, w2, w3)
 
@@ -71,7 +73,8 @@ def test_record_batch_reads_like_record():
     assert results.workloads("LRU") == [w1, w2, w3]
     assert results.common_workloads() == [w1]
     assert len(results) == 4
-    assert results.ipc_table("LRU")[w2] == [3.0, 4.0]    # materialised
+    assert results.ipc_table("LRU") == {w1: [1.0, 2.0], w2: [3.0, 4.0],
+                                        w3: [5.0, 6.0]}
     assert results.ipcs("LRU", w2) == [3.0, 4.0]
 
 
@@ -83,9 +86,12 @@ def test_record_batch_validates_shape_and_duplicates():
     results.record_batch("LRU", [w], np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError):
         results.record_batch("LRU", [w], np.array([[1.0, 2.0]]))
-    results.record("DIP", w, [1.0, 2.0])
+    # A rejected batch leaves no trace, not even an empty policy.
     with pytest.raises(ValueError):
-        results.record_batch("DIP", [w], np.array([[1.0, 2.0]]))
+        results.record_batch("DIP", [w], np.ones((1, 3)))
+    assert results.policies == ["LRU"] and len(results) == 1
+    with pytest.raises(KeyError):
+        results.workloads("DIP")
 
 
 def test_columnar_panel_serves_batches_without_dict():
@@ -97,21 +103,19 @@ def test_columnar_panel_serves_batches_without_dict():
     index, matrices = results.columnar_panel(["LRU"], [w3, w1, w2])
     assert matrices["LRU"].values.tolist() == [[5.0, 6.0], [1.0, 2.0],
                                                [3.0, 4.0]]
-    # The legacy dict view was never built for LRU.
-    assert "LRU" in results._blocks
 
 
 def test_npz_roundtrip_matches_json(tmp_path):
     results, _ = _batchful_results()
     json_path = tmp_path / "results.json"
     npz_path = tmp_path / "results.npz"
-    results.save_npz(npz_path)          # before to_json materialises
+    results.save_npz(npz_path)
     json_path.write_text(results.to_json())
     from_npz = PopulationResults.load_npz(npz_path)
     from_json = PopulationResults.load(json_path)
-    # npz loads stay columnar: panels restore as blocks, not dicts
-    # (checked before to_json, which materialises the legacy view).
-    assert "LRU" in from_npz._blocks
+    # Both load paths store one block per policy.
+    assert [len(from_npz._blocks[p]) for p in from_npz.policies] == [1, 1]
+    assert [len(from_json._blocks[p]) for p in from_json.policies] == [1, 1]
     assert json.loads(from_npz.to_json()) == json.loads(from_json.to_json())
     assert from_npz.cores == 2 and from_npz.simulator == "analytic"
     assert from_npz.reference == {"a": 1.5}
@@ -131,8 +135,34 @@ def test_npz_roundtrip_exact_floats(tmp_path):
         assert loaded.ipcs("LRU", workload) == row.tolist()
 
 
+def test_reads_never_rewrite_the_blocks(tmp_path):
+    results, (w1, w2, w3) = _batchful_results()
+    single = PopulationResults(2, "analytic")
+    single.record_batch("LRU", [w1, w2], np.array([[1.0, 2.0], [3.0, 4.0]]))
+    block = single._blocks["LRU"][0][1]
+    before, after = tmp_path / "before.npz", tmp_path / "after.npz"
+    for store in (results, single):
+        store.save_npz(before)
+        table = store.ipc_table("LRU")
+        table[w1] = [0.0, 0.0]                 # a new dict: no aliasing
+        store.ipcs("LRU", w2)[0] = 0.0         # a new list: no aliasing
+        store.to_json()
+        store.common_workloads()
+        store.save_npz(after)
+        assert after.read_bytes() == before.read_bytes()
+        assert store.ipcs("LRU", w1) == [1.0, 2.0]
+    _, matrices = single.columnar_panel(["LRU"], [w1, w2])
+    assert matrices["LRU"].values is block     # still the recorded block
+
+
+def _campaign(backend="badco", cache_dir=None):
+    return Campaign(CampaignConfig(backend=backend, cores=2,
+                                   trace_length=TEST_TRACE_LENGTH,
+                                   cache_dir=cache_dir))
+
+
 def test_campaign_memoises_runs():
-    campaign = SimulationCampaign("badco", 2, trace_length=TEST_TRACE_LENGTH)
+    campaign = _campaign()
     w = Workload(["povray", "hmmer"])
     first = campaign.run_workload(w, "LRU")
     simulations = campaign.timing.simulations
@@ -142,7 +172,7 @@ def test_campaign_memoises_runs():
 
 
 def test_campaign_grid_and_reference():
-    campaign = SimulationCampaign("badco", 2, trace_length=TEST_TRACE_LENGTH)
+    campaign = _campaign()
     workloads = [Workload(["povray", "povray"]), Workload(["povray", "hmmer"])]
     results = campaign.run_grid(workloads, ["LRU", "FIFO"])
     assert len(results) == 4
@@ -152,12 +182,10 @@ def test_campaign_grid_and_reference():
 
 def test_campaign_disk_cache(tmp_path):
     w = Workload(["povray", "hmmer"])
-    first = SimulationCampaign("badco", 2, trace_length=TEST_TRACE_LENGTH,
-                               cache_dir=tmp_path)
+    first = _campaign(cache_dir=tmp_path)
     ipcs = first.run_workload(w, "LRU")
     first.save()
-    second = SimulationCampaign("badco", 2, trace_length=TEST_TRACE_LENGTH,
-                                cache_dir=tmp_path)
+    second = _campaign(cache_dir=tmp_path)
     assert second.results.has("LRU", w)
     assert second.run_workload(w, "LRU") == ipcs
     assert second.timing.simulations == 0
@@ -165,24 +193,11 @@ def test_campaign_disk_cache(tmp_path):
 
 def test_unknown_simulator_rejected():
     with pytest.raises(ValueError):
-        SimulationCampaign("zesto", 2)
+        _campaign("zesto")
 
 
 def test_campaign_timing_mips():
-    campaign = SimulationCampaign("detailed", 2,
-                                  trace_length=TEST_TRACE_LENGTH)
+    campaign = _campaign("detailed")
     campaign.run_workload(Workload(["povray", "povray"]), "LRU")
     assert campaign.timing.mips > 0
     assert campaign.timing.instructions >= 2 * TEST_TRACE_LENGTH
-
-
-def test_record_over_batch_row_is_last_write_wins():
-    results = PopulationResults(2, "analytic")
-    w = Workload(["a", "b"])
-    results.record_batch("LRU", [w], np.array([[1.0, 2.0]]))
-    results.record("LRU", w, [9.0, 8.0])
-    assert results.ipcs("LRU", w) == [9.0, 8.0]
-    assert len(results) == 1
-    # Materialisation must not revert to the stale block value.
-    assert results.ipc_table("LRU")[w] == [9.0, 8.0]
-    assert results.ipcs("LRU", w) == [9.0, 8.0]

@@ -26,7 +26,7 @@ from repro.serve import (
     ServerError,
     protocol,
 )
-from repro.serve.cache import results_nbytes
+from repro.serve.server import connect
 from repro.sim.results import PopulationResults
 
 BENCHMARKS = ("bzip2", "gcc", "libquantum", "mcf", "namd", "povray")
@@ -162,7 +162,7 @@ def test_panel_lru_hits_and_identity_invalidation(tmp_path):
 
 def test_panel_lru_budget_evicts_least_recently_used(tmp_path):
     paths = [_panel(tmp_path, f"panel{i}", seed=i) for i in range(3)]
-    one = results_nbytes(PopulationResults.load_npz(paths[0]))
+    one = PopulationResults.load_npz(paths[0]).nbytes
     cache = ResidentPanelCache(budget_bytes=2 * one)
     for path in paths:
         cache.load(path)
@@ -339,6 +339,17 @@ def test_bad_requests_error_without_dropping_the_connection(server):
         with pytest.raises(ServerError, match="NOPE"):
             client.estimate(**_query(candidate="NOPE"))
         assert client.ping()   # the connection survived both errors
+
+
+def test_oversized_request_frame_is_refused(server):
+    with connect(server.address, timeout=60) as sock:
+        sock.sendall(b"x" * protocol.MAX_REQUEST_BYTES + b"x\n")
+        with sock.makefile("rb") as rfile:
+            reply = protocol.read_message(rfile)
+    assert reply["ok"] is False
+    assert "exceeds" in reply["error"]
+    with ReproClient(server.address) as client:
+        assert client.ping()       # the daemon still answers
 
 
 def test_shutdown_op_stops_the_daemon(store, tmp_path):
